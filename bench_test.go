@@ -12,7 +12,6 @@ package ktg_test
 import (
 	"errors"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -249,13 +248,10 @@ func BenchmarkAblationOrdering(b *testing.B) {
 	}
 }
 
-// BenchmarkSearchDiverse measures the DKTG-Greedy overhead over a plain
-// top-N search.
 // BenchmarkSearch measures one exact KTG-VKC-DEG/NLRNL query — the
 // reference number for the observability layer's "near-zero cost when
-// off" requirement. The off/traced sub-benchmarks differ only in
-// whether a Tracer is installed, so their delta is the tracing
-// overhead.
+// off" requirement. The off/probe sub-benchmarks differ only in whether
+// a Probe is attached, so their delta is the probe's overhead.
 func BenchmarkSearch(b *testing.B) {
 	net := benchNet()
 	idx, err := net.BuildNLRNL()
@@ -275,9 +271,6 @@ func BenchmarkSearch(b *testing.B) {
 		}
 	}
 	b.Run("off", func(b *testing.B) { run(b, ktg.SearchOptions{}) })
-	b.Run("traced", func(b *testing.B) {
-		run(b, ktg.SearchOptions{Tracer: &countTracer{}})
-	})
 	// A probe is single-use, so it must be created inside the loop —
 	// which is also how the server uses it (one per request).
 	b.Run("probe", func(b *testing.B) {
@@ -293,12 +286,8 @@ func BenchmarkSearch(b *testing.B) {
 	})
 }
 
-// countTracer is the cheapest possible live tracer: two atomic counters.
-type countTracer struct{ spans, events atomic.Int64 }
-
-func (t *countTracer) Span(string, time.Duration)  { t.spans.Add(1) }
-func (t *countTracer) Event(string, string, int64) { t.events.Add(1) }
-
+// BenchmarkSearchDiverse measures the DKTG-Greedy overhead over a plain
+// top-N search.
 func BenchmarkSearchDiverse(b *testing.B) {
 	net := benchNet()
 	idx, err := net.BuildNLRNL()

@@ -12,6 +12,7 @@
 //	GET  /debug/requests       flight recorder: recent completed requests
 //	GET  /debug/requests/slow  slow-query log (top-K by latency, sliding window)
 //	GET  /debug/inflight       currently executing requests with elapsed time
+//	GET  /debug/search         in-flight searches with live progress snapshots
 //	GET  /debug/traces         tail-sampled distributed-trace store
 //	GET  /debug/traces/{id}    one trace (JSON; ?format=waterfall for ASCII)
 //
@@ -20,7 +21,7 @@
 // the ID is echoed in the X-Request-Id response header and stamped on
 // every log line the request produces, down into the search core. The
 // flight recorder retains the last -flight-recorder completed requests
-// (phase spans, search stats, queue wait, outcome) and an
+// (search phases and stats, queue wait, outcome) and an
 // always-retained slow-query log of requests at or above
 // -slow-query-ms; both are served on the routes above and on the
 // -debug-addr surface.
@@ -258,7 +259,6 @@ func main() {
 		MaxTimeout:       *maxTimeout,
 		DegradeQueueWait: *degradeWait,
 		Logger:           logger,
-		Tracer:           obs.MetricsTracer{Reg: obs.Default()},
 		Recorder:         recorder,
 		TraceStore:       traces,
 	}, datasets...)

@@ -193,13 +193,13 @@ func rebuildReplica(n *Network, g *graph.Graph, idx DistanceIndex) (live.Replica
 	case nil:
 		return live.NewGraphReplica(graph.MutableFrom(g)), nil
 	case *NLIndex:
-		nl, err := index.BuildNL(g, index.NLOptions{H: x.nl.H(), Tracer: n.tracer, Logger: n.logger})
+		nl, err := index.BuildNL(g, index.NLOptions{H: x.nl.H(), Logger: n.logger})
 		if err != nil {
 			return nil, fmt.Errorf("ktg: rebuilding NL over checkpoint graph: %w", err)
 		}
 		return live.NewNLReplica(graph.MutableFrom(g), nl), nil
 	case *NLRNLIndex:
-		x2, err := index.BuildNLRNLWith(g, index.NLRNLOptions{Tracer: n.tracer, Logger: n.logger})
+		x2, err := index.BuildNLRNLWith(g, index.NLRNLOptions{Logger: n.logger})
 		if err != nil {
 			return nil, fmt.Errorf("ktg: rebuilding NLRNL over checkpoint graph: %w", err)
 		}

@@ -46,10 +46,10 @@ type NLIndex struct {
 
 // BuildNL constructs an NL index. h is the number of stored hop levels;
 // pass 0 to let the index pick the most populated hop level (the paper's
-// rule). The build reports to the network's logger and tracer (see
-// SetLogger/SetTracer) and to the process-wide metrics.
+// rule). The build reports to the network's logger (see SetLogger) and
+// to the process-wide metrics.
 func (n *Network) BuildNL(h int) (*NLIndex, error) {
-	nl, err := index.BuildNL(n.g, index.NLOptions{H: h, Tracer: n.tracer, Logger: n.logger})
+	nl, err := index.BuildNL(n.g, index.NLOptions{H: h, Logger: n.logger})
 	if err != nil {
 		return nil, err
 	}
@@ -93,10 +93,9 @@ type NLRNLIndex struct {
 }
 
 // BuildNLRNL constructs an NLRNL index. The build reports to the
-// network's logger and tracer (see SetLogger/SetTracer) and to the
-// process-wide metrics.
+// network's logger (see SetLogger) and to the process-wide metrics.
 func (n *Network) BuildNLRNL() (*NLRNLIndex, error) {
-	x, err := index.BuildNLRNLWith(n.g, index.NLRNLOptions{Tracer: n.tracer, Logger: n.logger})
+	x, err := index.BuildNLRNLWith(n.g, index.NLRNLOptions{Logger: n.logger})
 	if err != nil {
 		return nil, err
 	}

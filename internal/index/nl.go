@@ -26,7 +26,6 @@ type NL struct {
 	g      graph.Topology
 	h      int
 	levels [][][]graph.Vertex // levels[v][d-1]: sorted vertices at distance d
-	tracer obs.Tracer
 
 	// scratch pools per-expansion traversal state (one *nlScratch per
 	// in-flight expansion beyond h), keeping Within allocation-free on
@@ -56,9 +55,6 @@ type NLOptions struct {
 	// HistogramSample is the number of BFS sources used when H = 0
 	// (default 64).
 	HistogramSample int
-	// Tracer receives an index-build span and size events; the index
-	// keeps it for serialize spans too (nil = off).
-	Tracer obs.Tracer
 	// Logger receives a structured build record (nil = obs default).
 	Logger *slog.Logger
 }
@@ -82,7 +78,6 @@ func BuildNL(g graph.Topology, opts NLOptions) (*NL, error) {
 		g:      g,
 		h:      h,
 		levels: make([][][]graph.Vertex, n),
-		tracer: opts.Tracer,
 	}
 	nl.initScratch(n)
 	tr := graph.NewTraverser(n)
@@ -94,11 +89,6 @@ func BuildNL(g graph.Topology, opts NLOptions) (*NL, error) {
 		nl.levels[v] = levels
 	}
 	elapsed := time.Since(start)
-	if opts.Tracer != nil {
-		opts.Tracer.Span(obs.PhaseIndexBuild, elapsed)
-		opts.Tracer.Event(obs.PhaseIndexBuild, "nl.entries", nl.Entries())
-		opts.Tracer.Event(obs.PhaseIndexBuild, "nl.h", int64(h))
-	}
 	obs.Or(opts.Logger).Debug("ktg: NL index built",
 		"vertices", n, "h", h, "entries", nl.Entries(), "dur", elapsed)
 	mIndexBuilds.Inc()

@@ -35,19 +35,15 @@ import (
 // atomic pointer swap — readers keep querying the old epoch and never
 // block on writers.
 type NLRNL struct {
-	g      *graph.Mutable
-	comp   []int32
-	c      []int32
-	fwd    [][][]graph.Vertex // fwd[a][d-1]: ids > a at distance d (d = 1..c-1)
-	rev    [][][]graph.Vertex // rev[a][j]:   ids > a at distance c+1+j
-	tracer obs.Tracer
+	g    *graph.Mutable
+	comp []int32
+	c    []int32
+	fwd  [][][]graph.Vertex // fwd[a][d-1]: ids > a at distance d (d = 1..c-1)
+	rev  [][][]graph.Vertex // rev[a][j]:   ids > a at distance c+1+j
 }
 
 // NLRNLOptions configures BuildNLRNLWith.
 type NLRNLOptions struct {
-	// Tracer receives an index-build span and size events; the index
-	// keeps it for serialize spans too (nil = off).
-	Tracer obs.Tracer
 	// Logger receives a structured build record (nil = obs default).
 	Logger *slog.Logger
 }
@@ -63,11 +59,10 @@ func BuildNLRNLWith(g graph.Topology, opts NLRNLOptions) (*NLRNL, error) {
 	start := time.Now()
 	n := g.NumVertices()
 	x := &NLRNL{
-		g:      graph.MutableFrom(g),
-		c:      make([]int32, n),
-		fwd:    make([][][]graph.Vertex, n),
-		rev:    make([][][]graph.Vertex, n),
-		tracer: opts.Tracer,
+		g:   graph.MutableFrom(g),
+		c:   make([]int32, n),
+		fwd: make([][][]graph.Vertex, n),
+		rev: make([][][]graph.Vertex, n),
 	}
 	x.comp, _ = graph.Components(x.g)
 	tr := graph.NewTraverser(n)
@@ -76,10 +71,6 @@ func BuildNLRNLWith(g graph.Topology, opts NLRNLOptions) (*NLRNL, error) {
 		x.buildVertex(graph.Vertex(a), tr, dist)
 	}
 	elapsed := time.Since(start)
-	if opts.Tracer != nil {
-		opts.Tracer.Span(obs.PhaseIndexBuild, elapsed)
-		opts.Tracer.Event(obs.PhaseIndexBuild, "nlrnl.entries", x.Entries())
-	}
 	obs.Or(opts.Logger).Debug("ktg: NLRNL index built",
 		"vertices", n, "entries", x.Entries(), "dur", elapsed)
 	mIndexBuilds.Inc()
@@ -355,12 +346,11 @@ func (x *NLRNL) RemoveEdgeAffected(u, v graph.Vertex) (bool, []graph.Vertex) {
 // vertices while readers of the original keep seeing its old lists.
 func (x *NLRNL) Clone() *NLRNL {
 	return &NLRNL{
-		g:      x.g.Clone(),
-		comp:   append([]int32(nil), x.comp...),
-		c:      append([]int32(nil), x.c...),
-		fwd:    append([][][]graph.Vertex(nil), x.fwd...),
-		rev:    append([][][]graph.Vertex(nil), x.rev...),
-		tracer: x.tracer,
+		g:    x.g.Clone(),
+		comp: append([]int32(nil), x.comp...),
+		c:    append([]int32(nil), x.c...),
+		fwd:  append([][][]graph.Vertex(nil), x.fwd...),
+		rev:  append([][][]graph.Vertex(nil), x.rev...),
 	}
 }
 

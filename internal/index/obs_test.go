@@ -7,44 +7,53 @@ import (
 	"ktg/internal/obs"
 )
 
-func TestBuildTracersEmitSpans(t *testing.T) {
+// TestBuildAndSerializeMetrics pins the index metrics: every build bumps
+// ktg_index_builds_total, every Save ktg_index_serialize_total, and every
+// Read* ktg_index_deserialize_total.
+func TestBuildAndSerializeMetrics(t *testing.T) {
 	g := fixture()
-
-	tr := &obs.CollectTracer{}
-	nl, err := BuildNL(g, NLOptions{H: 2, Tracer: tr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.SpanTotal(obs.PhaseIndexBuild) <= 0 {
-		t.Error("BuildNL emitted no index-build span")
-	}
-	var entries bool
-	for _, e := range tr.Events() {
-		if e.Name == "nl.entries" && e.Value == int64(nl.Entries()) {
-			entries = true
+	counter := func(name string) int64 { return obs.Default().Counter(name, "").Value() }
+	expect := func(what, name string, before, delta int64) {
+		t.Helper()
+		if got := counter(name); got != before+delta {
+			t.Errorf("%s: %s went %d -> %d, want +%d", what, name, before, got, delta)
 		}
 	}
-	if !entries {
-		t.Error("BuildNL emitted no nl.entries event matching Entries()")
-	}
+	const (
+		builds = "ktg_index_builds_total"
+		saves  = "ktg_index_serialize_total"
+		loads  = "ktg_index_deserialize_total"
+	)
 
-	tr2 := &obs.CollectTracer{}
-	x, err := BuildNLRNLWith(g, NLRNLOptions{Tracer: tr2})
+	b0 := counter(builds)
+	nl, err := BuildNL(g, NLOptions{H: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr2.SpanTotal(obs.PhaseIndexBuild) <= 0 {
-		t.Error("BuildNLRNLWith emitted no index-build span")
-	}
-
-	// Save routes through the serialize phase on the build tracer.
-	var buf bytes.Buffer
-	if err := x.Save(&buf); err != nil {
+	expect("BuildNL", builds, b0, 1)
+	x, err := BuildNLRNLWith(g, NLRNLOptions{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if tr2.SpanTotal(obs.PhaseSerialize) <= 0 {
-		t.Error("Save emitted no serialize span")
+	expect("BuildNLRNLWith", builds, b0, 2)
+
+	s0, l0 := counter(saves), counter(loads)
+	var nlBuf, xBuf bytes.Buffer
+	if err := nl.Save(&nlBuf); err != nil {
+		t.Fatal(err)
 	}
+	if err := x.Save(&xBuf); err != nil {
+		t.Fatal(err)
+	}
+	expect("Save", saves, s0, 2)
+	if _, err := ReadNL(&nlBuf, g); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadNLRNL(&xBuf, g); err != nil {
+		t.Fatal(err)
+	}
+	expect("Read*", loads, l0, 2)
+	expect("Read*", builds, b0, 2)
 }
 
 func TestBuildNLRNLWithoutOptionsStillWorks(t *testing.T) {

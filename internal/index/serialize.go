@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"ktg/internal/graph"
-	"ktg/internal/obs"
 	"ktg/internal/persist"
 )
 
@@ -102,13 +101,10 @@ func (rd *reader) list(maxVertex uint32) []graph.Vertex {
 	return l
 }
 
-// traceSerialize records one save/load on the serialize metrics and, if
-// a tracer is attached, emits a serialize-phase span. Used via defer.
-func traceSerialize(tr obs.Tracer, start time.Time, load bool) {
+// recordSerialize records one save/load on the serialize metrics. Used
+// via defer.
+func recordSerialize(start time.Time, load bool) {
 	d := time.Since(start)
-	if tr != nil {
-		tr.Span(obs.PhaseSerialize, d)
-	}
 	if load {
 		mIndexLoads.Inc()
 	} else {
@@ -145,7 +141,7 @@ func checkFingerprint(hdr persist.Header, g graph.Topology, what string) error {
 // container. Pair it with persist.WriteFileAtomic (or NL SaveFile via
 // the public API) for crash-safe on-disk snapshots.
 func (nl *NL) Save(w io.Writer) error {
-	defer traceSerialize(nl.tracer, time.Now(), false)
+	defer recordSerialize(time.Now(), false)
 	pw, err := persist.NewWriter(w, persist.Header{
 		Kind:  kindNL,
 		Param: uint32(nl.h),
@@ -198,7 +194,7 @@ func (nl *NL) saveV1(w io.Writer) error {
 // graph is rejected with persist.ErrFingerprintMismatch before any
 // payload is parsed.
 func ReadNL(r io.Reader, g graph.Topology) (*NL, error) {
-	defer traceSerialize(nil, time.Now(), true)
+	defer recordSerialize(time.Now(), true)
 	br := bufio.NewReader(r)
 	if persist.SniffContainer(br) {
 		return readNLV2(br, g)
@@ -301,7 +297,7 @@ func readNLBody(r io.Reader, g graph.Topology, wantH int) (*NL, error) {
 // copy of the graph, so a snapshot taken after InsertEdge/RemoveEdge
 // will (correctly) refuse to attach to the original topology.
 func (x *NLRNL) Save(w io.Writer) error {
-	defer traceSerialize(x.tracer, time.Now(), false)
+	defer recordSerialize(time.Now(), false)
 	pw, err := persist.NewWriter(w, persist.Header{
 		Kind:  kindNLRNL,
 		Graph: persist.FingerprintOf(x.g),
@@ -355,7 +351,7 @@ func (x *NLRNL) saveV1(w io.Writer) error {
 // from; the loaded index copies it so that dynamic updates remain
 // available.
 func ReadNLRNL(r io.Reader, g graph.Topology) (*NLRNL, error) {
-	defer traceSerialize(nil, time.Now(), true)
+	defer recordSerialize(time.Now(), true)
 	br := bufio.NewReader(r)
 	if persist.SniffContainer(br) {
 		return readNLRNLV2(br, g)

@@ -22,10 +22,10 @@ import (
 //	/debug/traces        — the tail-sampled trace store listing (JSON)
 //	/debug/traces/{id}   — one trace (JSON; ?format=waterfall for ASCII)
 //
-// The request endpoints serve the process-wide DefaultRecorder and
-// DefaultTraceStore, resolved per request so a recorder or store
-// installed after the mux was built (ktgserver sizes both from its
-// flags) is still picked up.
+// The request and search endpoints serve the process-wide
+// DefaultRecorder and DefaultTraceStore, resolved per request so a
+// recorder or store installed after the mux was built (ktgserver sizes
+// both from its flags) is still picked up.
 func DebugMux(reg *Registry) *http.ServeMux {
 	if reg == defaultRegistry {
 		PublishExpvar()
@@ -48,7 +48,7 @@ func DebugMux(reg *Registry) *http.ServeMux {
 		DefaultRecorder().InflightHandler().ServeHTTP(w, r)
 	})
 	mux.HandleFunc("GET /debug/search", func(w http.ResponseWriter, r *http.Request) {
-		DefaultSearchTable().Handler().ServeHTTP(w, r)
+		DefaultRecorder().SearchHandler().ServeHTTP(w, r)
 	})
 	mux.HandleFunc("GET /debug/traces", func(w http.ResponseWriter, r *http.Request) {
 		DefaultTraceStore().HandleTraces(w, r)

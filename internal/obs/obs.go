@@ -1,15 +1,17 @@
 // Package obs is the KTG stack's observability layer: an atomic
 // counter/gauge/histogram registry with Prometheus-text, JSON, and
 // expvar exposition; slog-based structured logging with a no-op
-// package default; a sampled span-style Tracer wired through the
-// search and index-build hot paths; and a debug HTTP server exposing
-// /metrics, /debug/vars, and /debug/pprof.
+// package default; request IDs; a flight recorder of completed and
+// in-flight requests, whose in-flight rows with a running search are
+// the live search view; W3C-propagated trace spans with a tail-sampling
+// trace store; and a debug HTTP server exposing all of it.
 //
-// The package is designed so that the branch-and-bound hot path pays
-// near-zero cost when observability is off: a disabled tracer is a nil
-// interface (one branch per node), the default logger discards before
-// formatting, and all metric mutations are single atomic adds batched
-// at search boundaries rather than per node.
+// A search itself is observed through its SearchStats, its probe, the
+// spans its context carries, and the logger; obs supplies the sinks.
+// The branch-and-bound hot path pays near-zero cost for any of them:
+// span methods are no-ops on a nil span, the default logger discards
+// before formatting, and metric mutations are single atomic adds
+// batched at search boundaries rather than per node.
 package obs
 
 import (

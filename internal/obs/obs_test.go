@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestCounterGauge(t *testing.T) {
@@ -181,77 +180,6 @@ func TestHandlerFormats(t *testing.T) {
 	var decoded map[string]any
 	if err := json.Unmarshal(body, &decoded); err != nil {
 		t.Fatalf("?format=json body not JSON: %v", err)
-	}
-}
-
-func TestCollectTracer(t *testing.T) {
-	tr := &CollectTracer{}
-	tr.Span(PhaseCompile, 3*time.Millisecond)
-	tr.Span(PhaseExplore, 5*time.Millisecond)
-	tr.Span(PhaseExplore, 7*time.Millisecond)
-	tr.Event(PhaseExplore, "node", 2)
-	if tr.Len() != 4 {
-		t.Errorf("Len = %d, want 4", tr.Len())
-	}
-	if got := tr.SpanTotal(PhaseExplore); got != 12*time.Millisecond {
-		t.Errorf("SpanTotal(explore) = %v, want 12ms", got)
-	}
-	if ev := tr.Events(); len(ev) != 1 || ev[0].Name != "node" || ev[0].Value != 2 {
-		t.Errorf("Events = %v", ev)
-	}
-}
-
-func TestSampled(t *testing.T) {
-	inner := &CollectTracer{}
-	if got := Sampled(inner, 1); got != Tracer(inner) {
-		t.Error("every=1 should return the tracer unchanged")
-	}
-	if Sampled(nil, 10) != nil {
-		t.Error("Sampled(nil) should stay nil")
-	}
-	s := Sampled(inner, 3)
-	for i := 0; i < 10; i++ {
-		s.Event(PhaseExplore, "node", int64(i))
-	}
-	s.Span(PhaseCompile, time.Millisecond) // spans always pass
-	if got := len(inner.Events()); got != 3 {
-		t.Errorf("sampled forwarded %d events, want 3", got)
-	}
-	if got := len(inner.Spans()); got != 1 {
-		t.Errorf("sampled forwarded %d spans, want 1", got)
-	}
-}
-
-func TestMulti(t *testing.T) {
-	if Multi() != nil || Multi(nil, nil) != nil {
-		t.Error("Multi with no live tracers should be nil")
-	}
-	a := &CollectTracer{}
-	if got := Multi(nil, a); got != Tracer(a) {
-		t.Error("Multi with one live tracer should unwrap")
-	}
-	b := &CollectTracer{}
-	m := Multi(a, b)
-	m.Span(PhaseCompile, time.Millisecond)
-	m.Event(PhaseExplore, "node", 1)
-	for _, tr := range []*CollectTracer{a, b} {
-		if tr.Len() != 2 {
-			t.Errorf("fan-out target got %d records, want 2", tr.Len())
-		}
-	}
-}
-
-func TestMetricsTracer(t *testing.T) {
-	r := NewRegistry()
-	mt := MetricsTracer{Reg: r}
-	mt.Span("index-build", 2*time.Millisecond)
-	mt.Event("explore", "depth3.nodes", 40)
-	mt.Event("explore", "depth3.nodes", 2)
-	if got := r.Histogram("ktg_span_index_build_ns", "").Count(); got != 1 {
-		t.Errorf("span histogram count = %d, want 1", got)
-	}
-	if got := r.Counter("ktg_event_explore_depth3_nodes_total", "").Value(); got != 42 {
-		t.Errorf("event counter = %d, want 42", got)
 	}
 }
 

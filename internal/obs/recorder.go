@@ -21,6 +21,13 @@ const (
 	OutcomeError    = "error"
 )
 
+// SpanRecord is one timed phase of a request. The JSON tags are stable:
+// flight-recorder records list a search's phases in this shape.
+type SpanRecord struct {
+	Phase    string        `json:"phase"`
+	Duration time.Duration `json:"duration_ns"`
+}
+
 // RequestRecord is one completed request as seen by the flight
 // recorder: identity, routing, cost breakdown, and outcome. Stats is
 // deliberately untyped (obs sits below the packages that define search
@@ -48,9 +55,9 @@ type RequestRecord struct {
 }
 
 // InflightRecord is one currently-executing request. The struct is
-// immutable after Begin except for Dataset/Algorithm, which are only
-// mutated under the recorder lock; ElapsedNS is computed at render
-// time.
+// immutable after Begin except for Dataset/Algorithm and the progress
+// source, which are only mutated under the recorder lock; ElapsedNS is
+// computed at render time.
 type InflightRecord struct {
 	ID        string    `json:"id"`
 	Endpoint  string    `json:"endpoint"`
@@ -58,6 +65,17 @@ type InflightRecord struct {
 	Algorithm string    `json:"algorithm,omitempty"`
 	Start     time.Time `json:"start"`
 	ElapsedNS int64     `json:"elapsed_ns"`
+	// progress returns the running search's latest self-published
+	// snapshot (untyped: obs sits below the search core; it must marshal
+	// cleanly to JSON). Only rows with a progress source are searches.
+	progress func() any
+}
+
+// SearchRecord is an in-flight request whose search is running: its
+// in-flight row plus the progress snapshot resolved at render time.
+type SearchRecord struct {
+	InflightRecord
+	Progress any `json:"progress"`
 }
 
 // Flight-recorder sizing defaults, applied by NewFlightRecorder for
@@ -71,7 +89,8 @@ const (
 
 // FlightRecorder retains recent completed requests in a bounded ring, a
 // separate always-retained slow-query log (top-K by latency over a
-// sliding window), and a table of requests currently in flight. All
+// sliding window), and a table of requests currently in flight, whose
+// rows with a running search double as the live search view. All
 // methods are safe for concurrent use; Record is O(ring insert +
 // top-K insert) under one short mutex hold, cheap next to the request
 // it describes.
@@ -148,6 +167,18 @@ func (f *FlightRecorder) Annotate(id, dataset, algorithm string) {
 	f.mu.Lock()
 	if rec, ok := f.inflight[id]; ok {
 		rec.Dataset, rec.Algorithm = dataset, algorithm
+	}
+	f.mu.Unlock()
+}
+
+// SetProgress attaches a live-progress source to an in-flight request,
+// which puts the request on the search view; nil detaches it again.
+// Progress is pulled only when the view is rendered, so attaching it
+// adds nothing to the search path.
+func (f *FlightRecorder) SetProgress(id string, progress func() any) {
+	f.mu.Lock()
+	if rec, ok := f.inflight[id]; ok {
+		rec.progress = progress
 	}
 	f.mu.Unlock()
 }
@@ -237,6 +268,18 @@ func (f *FlightRecorder) Inflight() []InflightRecord {
 	return out
 }
 
+// Searches returns the in-flight requests that carry a progress source,
+// oldest first, with their progress snapshots resolved now.
+func (f *FlightRecorder) Searches() []SearchRecord {
+	out := make([]SearchRecord, 0)
+	for _, r := range f.Inflight() {
+		if r.progress != nil {
+			out = append(out, SearchRecord{InflightRecord: r, Progress: r.progress()})
+		}
+	}
+	return out
+}
+
 // RecentHandler serves the recent-request ring as JSON
 // ({"total": N, "records": [...]}), newest first. ?limit=N bounds the
 // response.
@@ -268,6 +311,14 @@ func (f *FlightRecorder) SlowHandler() http.Handler {
 func (f *FlightRecorder) InflightHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		writeDebugJSON(w, map[string]any{"inflight": f.Inflight()})
+	})
+}
+
+// SearchHandler serves the search view as JSON ({"searches": [...]}),
+// oldest first.
+func (f *FlightRecorder) SearchHandler() http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		writeDebugJSON(w, map[string]any{"searches": f.Searches()})
 	})
 }
 

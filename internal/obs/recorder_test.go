@@ -94,6 +94,86 @@ func TestRecorderInflightLifecycle(t *testing.T) {
 	}
 }
 
+func TestRecorderSearchViewProgress(t *testing.T) {
+	f := NewFlightRecorder(4, 0, -1, 0)
+	done := f.Begin("req1", "/v1/query", time.Now())
+	defer done()
+	f.Annotate("req1", "reviewers", "vkc-deg")
+	f.Begin("req2", "/v1/edges", time.Now()) // in flight, but no search
+	f.SetProgress("missing", func() any { return "ignored" })
+
+	search := func() []map[string]any {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		f.SearchHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/search", nil))
+		var out struct {
+			Searches []map[string]any `json:"searches"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+			t.Fatalf("search view: bad JSON: %v", err)
+		}
+		if out.Searches == nil {
+			t.Fatalf("search view renders %q, want a searches array", rec.Body.String())
+		}
+		return out.Searches
+	}
+	if rows := search(); len(rows) != 0 {
+		t.Fatalf("search view before any progress = %v, want empty", rows)
+	}
+
+	f.SetProgress("req1", func() any { return map[string]int{"nodes": 42} })
+	rows := search()
+	if len(rows) != 1 {
+		t.Fatalf("search view = %v, want the one row with progress", rows)
+	}
+	row := rows[0]
+	if row["id"] != "req1" || row["endpoint"] != "/v1/query" || row["dataset"] != "reviewers" || row["algorithm"] != "vkc-deg" {
+		t.Errorf("search row = %v", row)
+	}
+	if p, _ := row["progress"].(map[string]any); p["nodes"] != float64(42) {
+		t.Errorf("search row progress = %v, want nodes 42", row["progress"])
+	}
+	if _, ok := row["elapsed_ns"]; !ok {
+		t.Errorf("search row lacks elapsed_ns: %v", row)
+	}
+	if got := len(f.Inflight()); got != 2 {
+		t.Errorf("in-flight table holds %d rows, want both requests", got)
+	}
+
+	f.SetProgress("req1", nil)
+	if rows := search(); len(rows) != 0 {
+		t.Fatalf("search view after clearing = %v, want empty", rows)
+	}
+	if got := len(f.Inflight()); got != 2 {
+		t.Errorf("clearing progress removed an in-flight row: %d left", got)
+	}
+}
+
+// TestRecorderSearchViewConcurrency attaches and detaches progress from
+// several goroutines while the search view renders (run under -race).
+func TestRecorderSearchViewConcurrency(t *testing.T) {
+	f := NewFlightRecorder(4, 0, -1, 0)
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 100; j++ {
+				id := NewRequestID()
+				done := f.Begin(id, "/v1/query", time.Now())
+				f.SetProgress(id, func() any { return j })
+				f.Searches()
+				f.SetProgress(id, nil)
+				done()
+			}
+		}()
+	}
+	wg.Wait()
+	if rows := f.Searches(); len(rows) != 0 {
+		t.Fatalf("search view after every request finished = %v, want empty", rows)
+	}
+}
+
 func TestRecorderHandlersJSON(t *testing.T) {
 	f := NewFlightRecorder(4, 2, time.Millisecond, time.Hour)
 	f.Record(mkRecord("x", time.Now(), 5*time.Millisecond))

@@ -21,6 +21,18 @@ type SpanEvent struct {
 	Value int64     `json:"value,omitempty"`
 }
 
+// Search phase names. The core names its compile/candidates/explore
+// child spans after them, and flight-recorder records list the phases
+// of a search under the same names.
+const (
+	// PhaseCompile covers query keyword compilation.
+	PhaseCompile = "compile"
+	// PhaseCandidates covers the initial candidate-set (S_R) build.
+	PhaseCandidates = "candidates"
+	// PhaseExplore covers the branch-and-bound exploration.
+	PhaseExplore = "explore"
+)
+
 // Span status codes. The zero value (unset) renders as "ok".
 const (
 	StatusOK    = "ok"
@@ -333,26 +345,4 @@ func (s *Span) AddCompletedChild(name string, start time.Time, d time.Duration, 
 	}
 	mSpans.Inc()
 	s.buf.add(sd, false)
-}
-
-// SpanTracer adapts a Span into the phase Tracer interface: phase
-// timings become completed child spans and tracer events become span
-// events (per-node explore events are already bounded by the span event
-// cap). It lets existing Tracer-wired code feed the distributed trace
-// without knowing about spans.
-func SpanTracer(s *Span) Tracer {
-	if s == nil {
-		return nil
-	}
-	return spanTracer{s}
-}
-
-type spanTracer struct{ s *Span }
-
-func (t spanTracer) Span(phase string, d time.Duration) {
-	t.s.AddCompletedChild(phase, time.Now().Add(-d), d)
-}
-
-func (t spanTracer) Event(phase, name string, value int64) {
-	t.s.Event(phase+"."+name, value)
 }

@@ -147,24 +147,3 @@ func TestSpanEndIsFirstWins(t *testing.T) {
 		t.Fatal("mutation after End leaked into the stored span")
 	}
 }
-
-func TestSpanTracerAdaptsPhases(t *testing.T) {
-	ts, ctx := testStore(t)
-	_, sp := StartSpan(ctx, "run")
-	tr := SpanTracer(sp)
-	tr.Span("compile", 2*time.Millisecond)
-	tr.Event("explore", "pruned", 7)
-	sp.End()
-	st := ts.Get(sp.TraceID())
-	if len(st.Spans) != 2 {
-		t.Fatalf("stored %d spans, want root + compile", len(st.Spans))
-	}
-	var names []string
-	for _, s := range st.Spans {
-		names = append(names, s.Name)
-	}
-	root := st.Root()
-	if len(root.Events) != 1 || root.Events[0].Name != "explore.pruned" {
-		t.Fatalf("tracer event missing from root: %v (spans %v)", root.Events, names)
-	}
-}

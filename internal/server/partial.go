@@ -72,13 +72,7 @@ func (s *Server) handlePartial(w http.ResponseWriter, r *http.Request) {
 		rec = &obs.RequestRecord{} // direct handler invocation in tests
 	}
 	dsLabel, algLabel := labelUnknown, labelUnknown
-	defer func() {
-		d := time.Since(start)
-		mPartialLatency.With(dsLabel, algLabel).Observe(d.Nanoseconds())
-		if s.cfg.Tracer != nil {
-			s.cfg.Tracer.Span(obs.PhaseServe, d)
-		}
-	}()
+	defer func() { mPartialLatency.With(dsLabel, algLabel).Observe(time.Since(start).Nanoseconds()) }()
 
 	req, aerr := decodeRequest(r, kindPartial, limits{
 		maxKeywords:  s.cfg.MaxKeywords,
@@ -183,8 +177,8 @@ func (s *Server) runPartial(reqCtx context.Context, req *QueryRequest, ds *Datas
 	defer cancel()
 
 	probe := &ktg.Probe{}
-	unregister := s.registerSearch(reqRec.ID, kindPartial, ds.Name, req.Algorithm, probe)
-	defer unregister()
+	s.recorder.SetProgress(reqRec.ID, func() any { return probe.Snapshot() })
+	defer s.recorder.SetProgress(reqRec.ID, nil)
 
 	ctx, searchSpan := obs.StartChild(ctx, "search.partial")
 	defer func() {
@@ -224,17 +218,14 @@ func (s *Server) runPartial(reqCtx context.Context, req *QueryRequest, ds *Datas
 		Tenuity:   req.Tenuity,
 		TopN:      req.TopN,
 	}
-	phases := &obs.CollectTracer{}
 	opts := ktg.SearchOptions{
 		Algorithm: wireAlgorithms[req.Algorithm],
 		Index:     idx,
 		MaxNodes:  req.MaxNodes,
 		Context:   ctx,
 		Logger:    logger,
-		Tracer:    phases,
 		Probe:     probe,
 	}
-	defer func() { reqRec.Phases = phases.Spans() }()
 
 	pr, err := nw.SearchPartial(q, opts, ktg.CandidateSlice{
 		Index: req.SliceIndex,
@@ -243,6 +234,7 @@ func (s *Server) runPartial(reqCtx context.Context, req *QueryRequest, ds *Datas
 	if pr == nil {
 		return nil, badRequest("invalid_query", "%v", err)
 	}
+	reqRec.Phases = searchPhases(pr.Stats)
 	if reqCtx.Err() != nil {
 		return nil, reqCtx.Err()
 	}

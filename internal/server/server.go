@@ -61,14 +61,12 @@ type Config struct {
 	DegradeQueueWait time.Duration
 	// Logger receives request logs; nil uses slog.Default.
 	Logger *slog.Logger
-	// Tracer receives one PhaseServe span per request; nil disables.
-	Tracer obs.Tracer
 	// Recorder captures completed /v1 requests for the flight-recorder
 	// debug endpoints (/debug/requests, /debug/requests/slow,
-	// /debug/inflight). nil creates a private recorder with default
-	// sizing; ktgserver passes one sized by -flight-recorder /
-	// -slow-query-ms and installs it as the obs default so the
-	// -debug-addr surface serves the same data.
+	// /debug/inflight, /debug/search). nil creates a private recorder
+	// with default sizing; ktgserver passes one sized by
+	// -flight-recorder / -slow-query-ms and installs it as the obs
+	// default so the -debug-addr surface serves the same data.
 	Recorder *obs.FlightRecorder
 	// TraceStore retains completed request traces (tail-sampled) for
 	// the /debug/traces endpoints. nil falls back to the process-wide
@@ -267,9 +265,7 @@ func (s *Server) Handler() http.Handler {
 	mux.Handle("GET /debug/requests", s.recorder.RecentHandler())
 	mux.Handle("GET /debug/requests/slow", s.recorder.SlowHandler())
 	mux.Handle("GET /debug/inflight", s.recorder.InflightHandler())
-	mux.HandleFunc("GET /debug/search", func(w http.ResponseWriter, r *http.Request) {
-		obs.DefaultSearchTable().Handler().ServeHTTP(w, r)
-	})
+	mux.Handle("GET /debug/search", s.recorder.SearchHandler())
 	mux.HandleFunc("GET /debug/traces", func(w http.ResponseWriter, r *http.Request) {
 		s.traceStore().HandleTraces(w, r)
 	})
@@ -341,13 +337,7 @@ func (s *Server) serveSearch(w http.ResponseWriter, r *http.Request, kind string
 		rec = &obs.RequestRecord{} // direct handler invocation in tests
 	}
 	dsLabel, algLabel := labelUnknown, labelUnknown
-	defer func() {
-		d := time.Since(start)
-		latency.With(dsLabel, algLabel).Observe(d.Nanoseconds())
-		if s.cfg.Tracer != nil {
-			s.cfg.Tracer.Span(obs.PhaseServe, d)
-		}
-	}()
+	defer func() { latency.With(dsLabel, algLabel).Observe(time.Since(start).Nanoseconds()) }()
 
 	req, aerr := decodeRequest(r, kind, limits{
 		maxKeywords:  s.cfg.MaxKeywords,
@@ -525,12 +515,12 @@ func (s *Server) runSearch(reqCtx context.Context, req *QueryRequest, ds *Datase
 	defer cancel()
 
 	// Every admitted search carries a probe: it feeds the /debug/search
-	// in-flight table, the improvement-time histograms, and — when the
-	// request asked — the explain block. When nobody looks, the probe
-	// costs the hot path one branch and counter bump per node.
+	// view of the in-flight table, the improvement-time histograms, and
+	// — when the request asked — the explain block. When nobody looks,
+	// the probe costs the hot path one branch and counter bump per node.
 	probe := &ktg.Probe{}
-	unregister := s.registerSearch(reqRec.ID, kind, ds.Name, req.Algorithm, probe)
-	defer unregister()
+	s.recorder.SetProgress(reqRec.ID, func() any { return probe.Snapshot() })
+	defer s.recorder.SetProgress(reqRec.ID, nil)
 
 	// The search child span wraps the whole core call; the core hangs
 	// its own compile/candidates/explore children off it via ctx. The
@@ -594,21 +584,15 @@ func (s *Server) runSearch(reqCtx context.Context, req *QueryRequest, ds *Datase
 		Tenuity:   req.Tenuity,
 		TopN:      req.TopN,
 	}
-	// The per-request collector captures the core's phase spans
-	// (compile, candidates, explore) for this request's flight-recorder
-	// record; the request-scoped logger makes core-level lines carry
-	// request_id.
-	phases := &obs.CollectTracer{}
+	// The request-scoped logger makes core-level lines carry request_id.
 	opts := ktg.SearchOptions{
 		Algorithm: wireAlgorithms[req.Algorithm],
 		Index:     idx,
 		MaxNodes:  req.MaxNodes,
 		Context:   ctx,
 		Logger:    logger,
-		Tracer:    phases,
 		Probe:     probe,
 	}
-	defer func() { reqRec.Phases = phases.Spans() }()
 
 	resp = &QueryResponse{Dataset: ds.Name, Algorithm: req.Algorithm, Epoch: epoch}
 	if resp.Algorithm == "" {
@@ -650,6 +634,7 @@ func (s *Server) runSearch(reqCtx context.Context, req *QueryRequest, ds *Datase
 		// message rather than masking it.
 		return nil, false, badRequest("invalid_query", "%v", err)
 	}
+	reqRec.Phases = searchPhases(res.Stats)
 	if reqCtx.Err() != nil {
 		// The client went away (or shutdown force-cancelled the base
 		// context) mid-search: there is nobody to answer. writeError
@@ -688,31 +673,21 @@ func (s *Server) runSearch(reqCtx context.Context, req *QueryRequest, ds *Datase
 	return resp, !resp.Partial && !resp.Degraded, nil
 }
 
-// registerSearch puts one in-flight search on the process-wide
-// /debug/search table and returns the removal func to defer. The row's
-// Progress closure pulls the probe's latest snapshot only when the
-// table is rendered, so registration adds nothing to the search path.
-func (s *Server) registerSearch(id, kind, dataset, algorithm string, probe *ktg.Probe) func() {
-	if id == "" {
-		id = ktg.NewRequestID()
+// searchPhases lists a search's phases for its flight-recorder record,
+// taken from the answer's SearchStats. Phases the algorithm does not
+// run (greedy and brute force build no candidate set) are left out.
+func searchPhases(st ktg.SearchStats) []obs.SpanRecord {
+	var out []obs.SpanRecord
+	for _, p := range []obs.SpanRecord{
+		{Phase: obs.PhaseCompile, Duration: st.CompileTime},
+		{Phase: obs.PhaseCandidates, Duration: st.CandidateTime},
+		{Phase: obs.PhaseExplore, Duration: st.ExploreTime},
+	} {
+		if p.Duration > 0 {
+			out = append(out, p)
+		}
 	}
-	if algorithm == "" {
-		algorithm = "vkc-deg"
-	}
-	endpoint := "/v1/query"
-	switch kind {
-	case kindDiverse:
-		endpoint = "/v1/diverse"
-	case kindPartial:
-		endpoint = "/v1/query/partial"
-	}
-	return obs.DefaultSearchTable().Register(obs.SearchRow{
-		ID:        id,
-		Endpoint:  endpoint,
-		Dataset:   dataset,
-		Algorithm: algorithm,
-		Progress:  func() any { return probe.Snapshot() },
-	})
+	return out
 }
 
 func (s *Server) handleDatasets(w http.ResponseWriter, _ *http.Request) {

@@ -274,6 +274,10 @@ func (co *Coordinator) withRequestScope(next http.Handler) http.Handler {
 			}
 			span.SetAttr("outcome", rec.Outcome)
 			span.SetAttr("status", strconv.Itoa(sw.status))
+			if rec.Outcome == obs.OutcomeError {
+				// The tail sampler keeps error traces by span status alone.
+				span.SetError("status " + strconv.Itoa(sw.status))
+			}
 			span.End()
 			co.recorder.Record(*rec)
 			if thr := co.recorder.SlowThreshold(); thr > 0 && rec.Duration >= thr {

@@ -27,6 +27,11 @@ fi
 go test -race ./internal/obs ./internal/server ./internal/live ./internal/wal ./internal/shard
 go test -race ./...
 
+# The repository benchmark is a separate Go module over the public API
+# (perfbench/go.mod replaces ktg with ../). Vet and test it here so an
+# API change that breaks it fails verification, not the benchmark run.
+(cd perfbench && go vet ./... && go test ./...)
+
 # Perf-drift gate: re-run the committed "small" experiment and fail on
 # >2x regressions against BENCH_small.json (see scripts/check_bench.sh).
 ./scripts/check_bench.sh
