@@ -155,7 +155,9 @@ type Stats struct {
 	Pruned int64
 	// Filtered counts candidates removed by k-line filtering (Theorem 3).
 	Filtered int64
-	// OracleCalls counts social-distance checks.
+	// OracleCalls counts calls to the distance oracle. The exact
+	// searches ask it about each unordered pair of candidates at most
+	// once per search (while the distance memo is within its budget).
 	OracleCalls int64
 	// Feasible counts complete size-p groups evaluated.
 	Feasible int64

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ktg/internal/graph"
+	"ktg/internal/index"
 	"ktg/internal/keywords"
 )
 
@@ -29,6 +30,31 @@ func TestSearchPLargerThanCandidatePool(t *testing.T) {
 		}
 		if len(r.Groups) != 0 {
 			t.Fatalf("fabricated groups: %+v", r.Groups)
+		}
+	}
+}
+
+// TestSearchRejectsOutOfRangeQueryVertex: every entry point that runs
+// the branch-and-bound reports a query vertex past the end of the graph
+// as an error, under the BFS oracle and an index alike.
+func TestSearchRejectsOutOfRangeQueryVertex(t *testing.T) {
+	g := fixtureGraph()
+	attrs := fixtureAttrs()
+	q := Query{Keywords: fixtureQuery(t, attrs), P: 2, K: 1, N: 1}
+	nlrnl, err := index.BuildNLRNL(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, oracle := range []index.Oracle{nil, nlrnl} {
+		opts := Options{Oracle: oracle, QueryVertices: []graph.Vertex{0, graph.Vertex(g.NumVertices())}}
+		if _, err := Search(g, attrs, q, opts); err == nil {
+			t.Errorf("oracle %v: Search accepted an out-of-range query vertex", oracle)
+		}
+		if _, err := SearchPartial(g, attrs, q, opts, CandidateSlice{Index: 1, Count: 2}); err == nil {
+			t.Errorf("oracle %v: SearchPartial accepted an out-of-range query vertex", oracle)
+		}
+		if _, err := SearchDiverse(g, attrs, q, DiverseOptions{Options: opts, Gamma: 0.5}); err == nil {
+			t.Errorf("oracle %v: SearchDiverse accepted an out-of-range query vertex", oracle)
 		}
 	}
 }

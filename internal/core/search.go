@@ -4,22 +4,22 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 	"strconv"
 	"time"
 
-	"ktg/internal/bitset"
 	"ktg/internal/graph"
 	"ktg/internal/index"
 	"ktg/internal/keywords"
 	"ktg/internal/obs"
 )
 
-// deadlineCheckMask throttles wall-clock deadline and context checks:
-// both are consulted once every 128 node entries and once every 256
-// oracle calls inside the k-line filtering loop, so even a single deep
-// or filter-heavy subtree cannot overrun MaxDuration (or survive a
-// cancellation) by more than a few hundred distance checks.
+// Wall-clock deadline and context checks are throttled: both are
+// consulted once every 128 node entries and once every 256 oracle calls
+// inside the distance memo's fill, so even a single deep or filter-heavy
+// subtree cannot overrun MaxDuration (or survive a cancellation) by more
+// than a few hundred distance checks.
 const (
 	deadlineNodeMask   = 127
 	deadlineOracleMask = 255
@@ -53,12 +53,22 @@ func Search(g graph.Topology, attrs *keywords.Attributes, q Query, opts Options)
 // slice restricts depth-0 roots to the assigned stride and records the
 // accepted-offer stream for MergePartials.
 func run(g graph.Topology, attrs *keywords.Attributes, q Query, opts Options, slice *CandidateSlice) (*searcher, error) {
+	return runWithMemo(g, attrs, q, opts, slice, memoBudgetBytes)
+}
+
+// runWithMemo is run with an explicit distance-memo budget in bytes.
+func runWithMemo(g graph.Topology, attrs *keywords.Attributes, q Query, opts Options, slice *CandidateSlice, memoBudget int) (*searcher, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
 	if attrs.NumVertices() != g.NumVertices() {
 		return nil, fmt.Errorf("core: attributes cover %d vertices, graph has %d",
 			attrs.NumVertices(), g.NumVertices())
+	}
+	for _, qv := range opts.QueryVertices {
+		if int(qv) >= g.NumVertices() {
+			return nil, fmt.Errorf("core: query vertex %d out of range [0,%d)", qv, g.NumVertices())
+		}
 	}
 	// OrCtx stamps the context's request ID onto the fallback logger so
 	// core-level lines correlate with the serving request even when the
@@ -102,28 +112,13 @@ func run(g graph.Topology, attrs *keywords.Attributes, q Query, opts Options, sl
 	}
 	s.ctx = opts.Context
 	s.checkAbort = s.hasDeadline || s.ctx != nil
-	if s.ordering == OrderVKCDegree {
-		s.deg = make([]int32, g.NumVertices())
-		for v := 0; v < g.NumVertices(); v++ {
-			s.deg[v] = int32(g.Degree(graph.Vertex(v)))
-		}
-	}
-	// Per-depth scratch: candidate buffers, covered-set buffers, and
-	// effort histograms.
-	s.candBuf = make([][]candidate, q.P)
-	s.coverBuf = make([]bitset.Set, q.P+1)
-	for d := range s.coverBuf {
-		s.coverBuf[d] = bitset.New(kq.Width())
-	}
 	s.stats.DepthNodes = make([]int64, q.P+1)
 	s.stats.DepthPruned = make([]int64, q.P+1)
 	s.stats.DepthFiltered = make([]int64, q.P+1)
 
 	candStart := time.Now()
 	// Initial S_R: vertices covering at least one query keyword, minus
-	// explicit exclusions and anyone socially close to a query vertex,
-	// ranked by the configured ordering (VKC w.r.t. the empty group
-	// equals the static coverage count).
+	// explicit exclusions and anyone socially close to a query vertex.
 	var excluded []bool
 	if len(opts.ExcludeVertices) > 0 {
 		excluded = make([]bool, g.NumVertices())
@@ -133,8 +128,9 @@ func run(g graph.Topology, attrs *keywords.Attributes, q Query, opts Options, sl
 			}
 		}
 	}
-	root := make([]candidate, 0, 64)
-	for _, v := range kq.Candidates() {
+	sr := kq.Candidates()
+	kept := sr[:0]
+	for _, v := range sr {
 		if excluded != nil && excluded[v] {
 			continue
 		}
@@ -150,15 +146,26 @@ func run(g graph.Topology, attrs *keywords.Attributes, q Query, opts Options, sl
 			s.stats.Filtered++
 			continue
 		}
-		root = append(root, candidate{v: v, key: int32(kq.CoverageCount(v)), deg: s.degree(v)})
+		kept = append(kept, v)
 	}
-	s.sortCandidates(root)
-	s.frontier = len(root)
+	// Local ids follow the ordering's tie-break, so "key descending, then
+	// local id" is the full ranking. VKC w.r.t. the empty group equals the
+	// static coverage count, which ranks the root.
+	switch s.ordering {
+	case OrderVKCDegree:
+		kept = orderStable(kept, func(v graph.Vertex) int { return g.Degree(v) })
+	case OrderQKC:
+		w := kq.Width()
+		kept = orderStable(kept, func(v graph.Vertex) int { return w - kq.CoverageCount(v) })
+	}
+	s.initKernel(kept, memoBudget)
+	s.frontier = len(kept)
+	s.tally(0)
 	s.stats.CandidateTime = time.Since(candStart)
 	if s.probe != nil {
 		// Owned depth-0 iterations: the root loop runs for i in
 		// [0, frontier-P], and a partial search strides it by its slice.
-		iters := len(root) - q.P + 1
+		iters := s.frontier - q.P + 1
 		if iters < 0 {
 			iters = 0
 		}
@@ -170,10 +177,10 @@ func run(g graph.Topology, attrs *keywords.Attributes, q Query, opts Options, sl
 			}
 		}
 		s.probe.begin()
-		s.probe.setFrontier(owned, len(root))
+		s.probe.setFrontier(owned, s.frontier)
 	}
 	span.AddCompletedChild(obs.PhaseCandidates, candStart, s.stats.CandidateTime,
-		obs.Attr{Key: "size", Value: strconv.Itoa(len(root))})
+		obs.Attr{Key: "size", Value: strconv.Itoa(s.frontier)})
 
 	exploreStart := time.Now()
 	// A context cancelled before exploration starts skips it outright —
@@ -184,7 +191,7 @@ func run(g graph.Topology, attrs *keywords.Attributes, q Query, opts Options, sl
 		s.budgetHit = true
 		s.probe.abort(s.abortCause(), 0)
 	} else {
-		s.explore(root, s.coverBuf[0], 0)
+		s.explore(0, s.frontier)
 	}
 	s.stats.ExploreTime = time.Since(exploreStart)
 	// nodes/pruned include branch-and-bound effort; filtered counts the
@@ -201,6 +208,31 @@ func run(g graph.Topology, attrs *keywords.Attributes, q Query, opts Options, sl
 		"budget_hit", s.budgetHit)
 	s.probe.endSearch(s.stats, s.kq.Width())
 	return s, nil
+}
+
+// orderStable sorts vs by ascending non-negative key with a stable
+// counting sort.
+func orderStable(vs []graph.Vertex, key func(graph.Vertex) int) []graph.Vertex {
+	maxKey := 0
+	for _, v := range vs {
+		if k := key(v); k > maxKey {
+			maxKey = k
+		}
+	}
+	start := make([]int32, maxKey+2)
+	for _, v := range vs {
+		start[key(v)+1]++
+	}
+	for k := 1; k < len(start); k++ {
+		start[k] += start[k-1]
+	}
+	out := make([]graph.Vertex, len(vs))
+	for _, v := range vs {
+		k := key(v)
+		out[start[k]] = v
+		start[k]++
+	}
+	return out
 }
 
 // abortCause names why the search stopped early, for explain-plan
@@ -226,10 +258,10 @@ func (s *searcher) finishErr() error {
 	return fmt.Errorf("search aborted after %d nodes: %w", s.stats.Nodes, ErrBudgetExhausted)
 }
 
+// candidate is one ranked member of S_R.
 type candidate struct {
-	v   graph.Vertex
+	id  int32 // local id
 	key int32 // VKC count (or static coverage count under OrderQKC)
-	deg int32 // vertex degree (only set under OrderVKCDegree)
 }
 
 type searcher struct {
@@ -247,12 +279,27 @@ type searcher struct {
 	ctxErr      error
 	probe       *Probe
 
-	deg      []int32
-	heap     *topN
-	stats    Stats
-	si       []graph.Vertex
-	candBuf  [][]candidate
-	coverBuf []bitset.Set
+	heap  *topN
+	stats Stats
+	si    []graph.Vertex
+
+	// The kernel works on bitsets over dense local ids of S_R, `words`
+	// words each; verts maps the ids back to vertices. holders keeps one
+	// bitset per query keyword, of the ids that carry it, so VKC counts
+	// are popcount arithmetic. Per depth d: rem[d] holds the node's
+	// not-yet-expanded candidates, cover[d] the keywords S_I covers
+	// (cover[0] stays empty) and list[d] the node's ranked candidates.
+	// counts and planes are the counting sort's per-key buckets and
+	// bit-sliced key digits.
+	verts   []graph.Vertex
+	words   int
+	holders []uint64
+	rem     [][]uint64
+	cover   [][]uint64
+	list    [][]candidate
+	counts  []int
+	planes  []uint64
+	memo    memo
 
 	// Partial-search state: slice restricts depth-0 roots to a stride of
 	// the frontier and turns on offer recording; curRoot/rootSeq tag each
@@ -265,6 +312,39 @@ type searcher struct {
 	rootSeq  int
 
 	budgetHit bool
+}
+
+// initKernel assigns local ids to S_R in the given order and allocates
+// the per-depth bitsets, the keyword holder sets and the distance memo.
+func (s *searcher) initKernel(sr []graph.Vertex, memoBudget int) {
+	n, width, p := len(sr), s.kq.Width(), s.q.P
+	words, kw := (n+63)>>6, (width+63)>>6
+	s.verts = sr
+	s.words = words
+	s.holders = make([]uint64, width*words)
+	for id, v := range sr {
+		m := s.kq.Mask(v)
+		for j := 0; j < width; j++ {
+			if m.Contains(j) {
+				s.holders[j*words+id>>6] |= 1 << (id & 63)
+			}
+		}
+	}
+	s.rem = make([][]uint64, p+1)
+	s.cover = make([][]uint64, p+1)
+	remWords := make([]uint64, (p+1)*words)
+	coverWords := make([]uint64, (p+1)*kw)
+	for d := 0; d <= p; d++ {
+		s.rem[d] = remWords[d*words : (d+1)*words]
+		s.cover[d] = coverWords[d*kw : (d+1)*kw]
+	}
+	for id := 0; id < n; id++ {
+		s.rem[0][id>>6] |= 1 << (id & 63)
+	}
+	s.list = make([][]candidate, p)
+	s.counts = make([]int, width+1)
+	s.planes = make([]uint64, bits.Len(uint(width)))
+	s.memo = newMemo(n, memoBudget)
 }
 
 // aborted reports whether the wall-clock deadline has passed or the
@@ -286,18 +366,12 @@ func (s *searcher) aborted() bool {
 	return false
 }
 
-func (s *searcher) degree(v graph.Vertex) int32 {
-	if s.deg == nil {
-		return 0
-	}
-	return s.deg[v]
-}
-
 // explore expands one branch-and-bound node: si (the intermediate group
-// S_I) has `depth` members jointly covering `covered`, and cands is the
-// remaining candidate set S_R, ranked and already k-line-compatible with
-// every member of S_I.
-func (s *searcher) explore(cands []candidate, covered bitset.Set, depth int) {
+// S_I) has `depth` members jointly covering cover[depth], and rem[depth]
+// holds the `size` remaining candidates S_R, all k-line-compatible with
+// every member of S_I. Unless the node cannot fill S_I, tally has just
+// counted their keys.
+func (s *searcher) explore(depth, size int) {
 	s.stats.Nodes++
 	s.stats.DepthNodes[depth]++
 	if s.probe != nil {
@@ -313,17 +387,30 @@ func (s *searcher) explore(cands []candidate, covered bitset.Set, depth int) {
 		s.probe.abort(s.abortCause(), depth)
 		return
 	}
+	covered := s.cover[depth]
+	secured := popcount(covered)
 	need := s.q.P - depth
 	if need == 0 {
 		s.stats.Feasible++
-		s.offer(covered.Count())
+		s.offer(secured)
 		return
 	}
-	if len(cands) < need {
+	if size < need {
 		return
 	}
-	childCover := s.coverBuf[depth+1]
+	// The loop's first Theorem 2 check needs only the top `need` keys,
+	// which the histogram already holds; most nodes stop there, before
+	// their candidates are placed in rank order. A partial search may
+	// skip the first roots, so the root always places.
+	if depth > 0 && s.pruning && s.cut(secured+s.topKeys(need), depth) {
+		return
+	}
+	cands := s.place(depth, size)
+	rem, child := s.rem[depth], s.rem[depth+1]
+	childCover := s.cover[depth+1]
 	for i := 0; i+need <= len(cands); i++ {
+		v := cands[i]
+		rem[v.id>>6] &^= 1 << (v.id & 63) // rem is now cands[i+1:]
 		if depth == 0 && s.slice != nil {
 			if !s.slice.owns(i) {
 				continue
@@ -337,63 +424,47 @@ func (s *searcher) explore(cands []candidate, covered bitset.Set, depth int) {
 			// Theorem 2: coverage already secured plus the best
 			// possible increment from the top `need` remaining
 			// candidates bounds every group formed from cands[i:].
-			// Group coverage can never exceed |W_Q|, so the bound is
-			// capped there — once N full-coverage groups are held,
-			// the whole remaining frontier collapses. Keys are sorted
-			// descending, so the bound is monotone in i and the loop
-			// can stop outright rather than skip.
-			ub := covered.Count()
+			// Keys are sorted descending, so the bound is monotone in
+			// i and the loop can stop outright rather than skip.
+			ub := secured
 			for j := i; j < i+need; j++ {
 				ub += int(cands[j].key)
 			}
-			if !s.uncapped {
-				if w := s.kq.Width(); ub > w {
-					ub = w
-				}
-			}
-			if ub <= s.heap.Threshold() {
-				s.stats.Pruned++
-				s.stats.DepthPruned[depth]++
+			if s.cut(ub, depth) {
 				break
 			}
 		}
-		v := cands[i]
-		childCover.CopyFrom(covered)
-		childCover.UnionWith(s.kq.Mask(v.v))
 
-		// k-line filtering (Theorem 3): drop candidates within K of v.
-		// The wall-clock deadline and the context are re-checked here
-		// every few hundred oracle calls: with a slow oracle (bounded
-		// BFS on a large graph) a single node's filtering pass can
-		// dwarf the per-node budget check, and before this loop-level
-		// check a deep slow subtree could overrun MaxDuration (or
-		// outlive a cancelled request) arbitrarily.
-		child := s.candBuf[depth][:0]
-		for _, u := range cands[i+1:] {
-			s.stats.OracleCalls++
-			if s.checkAbort && s.stats.OracleCalls&deadlineOracleMask == 0 && s.aborted() {
-				s.budgetHit = true
-				s.probe.abort(s.abortCause(), depth)
-				s.candBuf[depth] = child
-				return
-			}
-			if s.oracle.Within(v.v, u.v, s.q.K) {
-				s.stats.Filtered++
-				s.stats.DepthFiltered[depth]++
-				continue
-			}
-			if s.ordering != OrderQKC {
-				u.key = int32(s.kq.VKCCount(u.v, childCover))
-			}
-			child = append(child, u)
+		// k-line filtering (Theorem 3): drop the candidates within K of
+		// v, one word of the bitset at a time.
+		near := s.nearOf(int(v.id), rem)
+		if near == nil {
+			s.budgetHit = true
+			s.probe.abort(s.abortCause(), depth)
+			return
 		}
-		if s.ordering != OrderQKC {
-			s.sortCandidates(child)
+		left, filtered := 0, 0
+		for w, r := range rem {
+			filtered += bits.OnesCount64(r & near[w])
+			child[w] = r &^ near[w]
+			left += bits.OnesCount64(child[w])
 		}
-		s.candBuf[depth] = child // keep any growth for reuse
+		s.stats.Filtered += int64(filtered)
+		s.stats.DepthFiltered[depth] += int64(filtered)
+		copy(childCover, covered)
+		for j := 0; j < s.kq.Width(); j++ {
+			if s.holders[j*s.words+int(v.id>>6)]&(1<<(v.id&63)) != 0 {
+				childCover[j>>6] |= 1 << (j & 63)
+			}
+		}
+		// A complete group's node, or one too short to fill S_I, never
+		// reads its candidates.
+		if need > 1 && left >= need-1 {
+			s.tally(depth + 1)
+		}
 
-		s.si = append(s.si, v.v)
-		s.explore(child, childCover, depth+1)
+		s.si = append(s.si, s.verts[v.id])
+		s.explore(depth+1, left)
 		s.si = s.si[:len(s.si)-1]
 		if s.budgetHit {
 			return
@@ -404,14 +475,176 @@ func (s *searcher) explore(cands []candidate, covered bitset.Set, depth int) {
 	}
 }
 
+// cut applies Theorem 2 to an upper bound ub on the coverage of every
+// group the node can still form, counting a prune when the bound cannot
+// beat the N-th best coverage. Group coverage can never exceed |W_Q|, so
+// the bound is capped there unless the paper's literal bound was asked
+// for — once N full-coverage groups are held, the whole remaining
+// frontier collapses.
+func (s *searcher) cut(ub, depth int) bool {
+	if !s.uncapped {
+		ub = min(ub, s.kq.Width())
+	}
+	if ub > s.heap.Threshold() {
+		return false
+	}
+	s.stats.Pruned++
+	s.stats.DepthPruned[depth]++
+	return true
+}
+
+// nearOf returns v's distance-memo row with a decided near bit for every
+// member of rem. Only pairs that no row has decided yet reach the
+// oracle, so each unordered pair is asked at most once per search while
+// the memo is within budget. The deadline and the context are re-checked
+// every few hundred oracle calls, since one fill over a wide S_R with a
+// slow oracle can dwarf the per-node check. It returns nil when the
+// search must stop.
+func (s *searcher) nearOf(v int, rem []uint64) []uint64 {
+	row := s.memo.row(v)
+	known, near := row[:s.memo.words], row[s.memo.words:]
+	for w, r := range rem {
+		for open := r &^ known[w]; open != 0; open &= open - 1 {
+			b := bits.TrailingZeros64(open)
+			u := w<<6 | b
+			decided, within := s.memo.decided(u, v)
+			if !decided {
+				s.stats.OracleCalls++
+				if s.checkAbort && s.stats.OracleCalls&deadlineOracleMask == 0 && s.aborted() {
+					return nil
+				}
+				within = s.oracle.Within(s.verts[v], s.verts[u], s.q.K)
+			}
+			known[w] |= 1 << b
+			if within {
+				near[w] |= 1 << b
+			}
+		}
+	}
+	return near
+}
+
+// The candidates of a node are ranked by descending key, then ascending
+// local id, with a stable two-pass counting sort over keys 0..|W_Q|:
+// tally counts the keys of rem[depth] into the histogram, and place
+// lays the candidates out in rank order. The key is the VKC count
+// w.r.t. cover[depth], or the static coverage count under OrderQKC,
+// whose local ids already follow it. Both passes read the keys of 64
+// candidates at a time off bit-sliced digits.
+func (s *searcher) keyCover(depth int) []uint64 {
+	if s.ordering == OrderQKC {
+		return s.cover[0]
+	}
+	return s.cover[depth]
+}
+
+func (s *searcher) tally(depth int) {
+	cover := s.keyCover(depth)
+	counts, planes := s.keyRange(cover)
+	clear(s.counts)
+	for w, word := range s.rem[depth] {
+		if word == 0 {
+			continue
+		}
+		s.digits(planes, word, w, cover)
+		for k := range counts {
+			counts[k] += bits.OnesCount64(keyed(planes, word, k))
+		}
+	}
+}
+
+// keyRange returns the histogram buckets and digit planes that keys
+// w.r.t. cover can reach: no key exceeds the uncovered keyword count.
+func (s *searcher) keyRange(cover []uint64) ([]int, []uint64) {
+	maxKey := s.kq.Width() - popcount(cover)
+	return s.counts[:maxKey+1], s.planes[:bits.Len(uint(maxKey))]
+}
+
+// topKeys sums the `need` largest keys of the histogram.
+func (s *searcher) topKeys(need int) int {
+	sum := 0
+	for k := len(s.counts) - 1; k > 0 && need > 0; k-- {
+		c := min(s.counts[k], need)
+		sum += c * k
+		need -= c
+	}
+	return sum
+}
+
+func (s *searcher) place(depth, size int) []candidate {
+	cover := s.keyCover(depth)
+	counts, planes := s.keyRange(cover)
+	start := 0
+	for k := len(counts) - 1; k >= 0; k-- {
+		start, counts[k] = start+counts[k], start
+	}
+	out := s.list[depth]
+	if cap(out) < size {
+		out = make([]candidate, size)
+		s.list[depth] = out
+	}
+	out = out[:size]
+	for w, word := range s.rem[depth] {
+		if word == 0 {
+			continue
+		}
+		s.digits(planes, word, w, cover)
+		for k := range counts {
+			for m := keyed(planes, word, k); m != 0; m &= m - 1 {
+				out[counts[k]] = candidate{id: int32(w<<6 | bits.TrailingZeros64(m)), key: int32(k)}
+				counts[k]++
+			}
+		}
+	}
+	return out
+}
+
+// digits counts, for each candidate in word w of a set (its bits given
+// by word), the query keywords outside cover it carries: bit b of
+// planes[p] becomes bit p of the count for local id 64w+b, summed by a
+// ripple-carry adder over the keywords' holder sets.
+func (s *searcher) digits(planes []uint64, word uint64, w int, cover []uint64) {
+	clear(planes)
+	for j := 0; j < s.kq.Width(); j++ {
+		if cover[j>>6]&(1<<(j&63)) != 0 {
+			continue
+		}
+		carry := word & s.holders[j*s.words+w]
+		for p := 0; carry != 0; p++ {
+			planes[p], carry = planes[p]^carry, planes[p]&carry
+		}
+	}
+}
+
+// keyed returns the candidates of word whose digits spell key k.
+func keyed(planes []uint64, word uint64, k int) uint64 {
+	for p, plane := range planes {
+		if k>>p&1 != 0 {
+			word &= plane
+		} else {
+			word &^= plane
+		}
+	}
+	return word
+}
+
+func popcount(set []uint64) int {
+	c := 0
+	for _, w := range set {
+		c += bits.OnesCount64(w)
+	}
+	return c
+}
+
 // offer submits the current S_I as a feasible group. Under a partial
 // search, accepted offers are also appended to the replay stream.
 func (s *searcher) offer(coverage int) {
-	members := append([]graph.Vertex(nil), s.si...)
-	sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
-	if !s.heap.Offer(members, coverage) {
-		return
+	if coverage <= s.heap.Threshold() {
+		return // the heap keeps first-found groups on ties
 	}
+	members := append([]graph.Vertex(nil), s.si...)
+	slices.Sort(members)
+	s.heap.Offer(members, coverage)
 	if s.probe != nil {
 		s.probe.offerAccepted(coverage, s.heap.Threshold())
 	}
@@ -422,33 +655,5 @@ func (s *searcher) offer(coverage int) {
 			Seq:     s.rootSeq,
 		})
 		s.rootSeq++
-	}
-}
-
-// sortCandidates ranks S_R per the configured ordering. All orderings
-// sort by descending key; VKC-DEG breaks ties by ascending degree (fewer
-// social conflicts first); vertex id is the final tie-break so runs are
-// deterministic.
-func (s *searcher) sortCandidates(cands []candidate) {
-	switch s.ordering {
-	case OrderVKCDegree:
-		sort.Slice(cands, func(i, j int) bool {
-			a, b := cands[i], cands[j]
-			if a.key != b.key {
-				return a.key > b.key
-			}
-			if a.deg != b.deg {
-				return a.deg < b.deg
-			}
-			return a.v < b.v
-		})
-	default:
-		sort.Slice(cands, func(i, j int) bool {
-			a, b := cands[i], cands[j]
-			if a.key != b.key {
-				return a.key > b.key
-			}
-			return a.v < b.v
-		})
 	}
 }

@@ -152,6 +152,30 @@ func TestSearchInvalidQuery(t *testing.T) {
 	}
 }
 
+// TestSearchRejectsOutOfRangeQueryVertex: a query vertex past the end of
+// the graph is a caller error, reported like a bad p, k or N under
+// either index rather than crashing inside the distance check.
+func TestSearchRejectsOutOfRangeQueryVertex(t *testing.T) {
+	n := reviewerNetwork(t)
+	nlrnl, err := n.BuildNLRNL()
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := ktg.Query{Keywords: []string{"SN", "GD"}, GroupSize: 2, Tenuity: 1, TopN: 1}
+	for _, idx := range []ktg.DistanceIndex{nil, nlrnl} {
+		opts := ktg.SearchOptions{Index: idx, QueryVertices: []ktg.Vertex{0, ktg.Vertex(n.NumVertices())}}
+		if _, err := n.Search(q, opts); err == nil {
+			t.Errorf("index %v: out-of-range query vertex accepted", idx)
+		}
+		if _, err := n.SearchPartial(q, opts, ktg.CandidateSlice{Index: 0, Count: 2}); err == nil {
+			t.Errorf("index %v: out-of-range query vertex accepted by a partial search", idx)
+		}
+		if _, err := n.SearchDiverse(q, ktg.DiverseOptions{SearchOptions: opts, Gamma: 0.5}); err == nil {
+			t.Errorf("index %v: out-of-range query vertex accepted by a diverse search", idx)
+		}
+	}
+}
+
 func TestIndexLoadErrors(t *testing.T) {
 	n := reviewerNetwork(t)
 	if _, err := n.LoadNL(bytes.NewReader([]byte("garbage"))); err == nil {

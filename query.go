@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"log/slog"
+	"slices"
 	"sort"
 	"time"
 
@@ -119,6 +120,8 @@ type Group struct {
 	// Members in increasing vertex-id order.
 	Members []Vertex
 	// Covered lists the query keywords the members jointly cover.
+	// Groups of one result that cover the same keywords share this
+	// slice; treat it as read-only.
 	Covered []string
 	// QKC is the group's query keyword coverage in [0, 1]
 	// (|Covered| / |W_Q|).
@@ -134,7 +137,9 @@ type SearchStats struct {
 	Pruned int64 `json:"pruned"`
 	// Filtered counts candidates removed by k-line filtering.
 	Filtered int64 `json:"filtered"`
-	// DistanceChecks counts social-distance queries.
+	// DistanceChecks counts calls to the distance index. The exact
+	// searches ask it about each pair of candidates at most once per
+	// search, while their distance memo stays within its 8 MiB budget.
 	DistanceChecks int64 `json:"distance_checks"`
 	// Feasible counts complete size-p groups evaluated.
 	Feasible int64 `json:"feasible"`
@@ -228,9 +233,7 @@ func (n *Network) SearchDiverse(q Query, opts DiverseOptions) (*DiverseResult, e
 		Score:     dr.Score,
 		Stats:     liftStats(dr.Stats),
 	}
-	for _, grp := range dr.Groups {
-		out.Groups = append(out.Groups, n.liftGroup(grp, dr.QueryWidth, q.Keywords))
-	}
+	out.Groups = n.liftGroups(dr.Groups, dr.QueryWidth, q.Keywords)
 	return out, err
 }
 
@@ -325,9 +328,34 @@ func (n *Network) lower(q Query, opts SearchOptions) (core.Query, core.Options) 
 }
 
 func (n *Network) lift(res *core.Result, queryKeywords []string) *Result {
-	out := &Result{Stats: liftStats(res.Stats)}
-	for _, g := range res.Groups {
-		out.Groups = append(out.Groups, n.liftGroup(g, res.QueryWidth, queryKeywords))
+	return &Result{
+		Groups: n.liftGroups(res.Groups, res.QueryWidth, queryKeywords),
+		Stats:  liftStats(res.Stats),
+	}
+}
+
+// liftGroups converts a result's groups. Groups that cover the same
+// keywords share one Covered slice: the top groups of a query usually
+// cover the same keywords, and callers such as caches and load
+// generators keep results, so one copy per group adds up.
+func (n *Network) liftGroups(groups []core.Group, width int, queryKeywords []string) []Group {
+	if len(groups) == 0 {
+		return nil
+	}
+	out := make([]Group, len(groups))
+	var distinct [][]string
+	for i, g := range groups {
+		out[i] = n.liftGroup(g, width, queryKeywords)
+		shared := false
+		for _, c := range distinct {
+			if slices.Equal(c, out[i].Covered) {
+				out[i].Covered, shared = c, true
+				break
+			}
+		}
+		if !shared {
+			distinct = append(distinct, out[i].Covered)
+		}
 	}
 	return out
 }
@@ -340,12 +368,18 @@ func (n *Network) liftGroup(g core.Group, width int, queryKeywords []string) Gro
 		}
 	}
 	seen := map[string]bool{}
-	var covered []string
 	for _, kw := range queryKeywords {
-		if have[kw] && !seen[kw] {
+		if have[kw] {
 			seen[kw] = true
-			covered = append(covered, kw)
 		}
+	}
+	// Sized exactly: callers keep results.
+	var covered []string
+	if len(seen) > 0 {
+		covered = make([]string, 0, len(seen))
+	}
+	for kw := range seen {
+		covered = append(covered, kw)
 	}
 	sort.Strings(covered)
 	return Group{

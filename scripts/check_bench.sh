@@ -7,6 +7,11 @@
 # against machine-to-machine noise while still catching real blowups
 # (a broken prune bound shows up as 10-1000x, not 1.3x).
 #
+# Search effort does not depend on machine speed, so a row that no query
+# cut short (exhausted == 0 in both the baseline and the fresh run) is
+# gated exactly: nodes, prunes and k-line filter removals must equal the
+# baseline, and the index calls must not exceed it.
+#
 # Env knobs:
 #   CHECK_BENCH_FAIL_RATIO  ratio that fails the gate   (default 2.0)
 #   CHECK_BENCH_WARN_RATIO  ratio that warns            (default 1.25)
@@ -56,16 +61,23 @@ report=$(jq -r --argjson fail "$FAIL_RATIO" --argjson warn "$WARN_RATIO" \
     else
       (if $b.ns_per_op > 0 then $r.ns_per_op / $b.ns_per_op else 1 end) as $lat
       | (if $b.nodes_per_op > 0 then $r.nodes_per_op / $b.nodes_per_op else 1 end) as $nodes
-      | (if $lat >= $fail or $nodes >= $fail then "FAIL"
+      | (if $b.exhausted == 0 and $r.exhausted == 0 then
+           [ ("nodes_per_op", "prunes_per_op", "filtered_per_op") as $f
+             | select($r[$f] != $b[$f]) | "\($f) \($b[$f]) -> \($r[$f])" ]
+           + [ select($r.oracle_calls_per_op > $b.oracle_calls_per_op)
+             | "oracle_calls_per_op \($b.oracle_calls_per_op) -> \($r.oracle_calls_per_op)" ]
+         else [] end) as $drift
+      | (if $lat >= $fail or $nodes >= $fail or ($drift | length) > 0 then "FAIL"
          elif $lat >= $warn or $nodes >= $warn then "WARN"
          else "ok" end)
         + " \(key): latency x\($lat * 100 | round / 100) (\($b.ns_per_op) -> \($r.ns_per_op) ns/op), nodes x\($nodes * 100 | round / 100)"
+        + (if ($drift | length) > 0 then ", deterministic counts drifted: " + ($drift | join(", ")) else "" end)
     end
 ' "$BASELINE")
 
 echo "$report"
 if echo "$report" | grep -Eq '^(FAIL|MISS)'; then
-    echo "check_bench: FAILED — a row regressed beyond ${FAIL_RATIO}x the committed baseline" >&2
+    echo "check_bench: FAILED — a row regressed beyond ${FAIL_RATIO}x the committed baseline or its deterministic counts drifted" >&2
     exit 1
 fi
 if echo "$report" | grep -q '^WARN'; then
