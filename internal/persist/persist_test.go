@@ -259,7 +259,7 @@ func TestFingerprintOf(t *testing.T) {
 
 type stubGraph [][]uint32
 
-func (s stubGraph) NumVertices() int           { return len(s) }
+func (s stubGraph) NumVertices() int            { return len(s) }
 func (s stubGraph) Neighbors(v uint32) []uint32 { return s[v] }
 
 // TestWriteFileAtomicCrashSafety interrupts the save at every byte

@@ -95,14 +95,15 @@ func (c *resultCache) lookup(key string) (*QueryResponse, bool) {
 }
 
 // do coalesces concurrent identical misses: one caller (the leader)
-// runs fn while the rest wait. fn reports whether its result is
-// shareable — complete, deterministic, independent of the particular
-// request's budget. A shareable result is stored in the LRU and handed
-// to every waiter; after a non-shareable outcome each waiter retries,
-// one of them becoming the next leader. The second return value
-// reports whether the response came from someone else's flight (or a
-// store that landed while we waited) rather than our own search.
-func (c *resultCache) do(ctx context.Context, key string, meta cacheMeta, fn func() (*QueryResponse, bool, error)) (*QueryResponse, bool, error) {
+// runs fn while the rest wait. Only a shareable result — complete, so
+// deterministic and independent of the particular request's budget —
+// is stored in the LRU and handed to every waiter: partial and degraded
+// answers are request-specific compromises, not the query's true
+// answer. After a non-shareable outcome each waiter retries, one of
+// them becoming the next leader. The second return value reports
+// whether the response came from someone else's flight (or a store that
+// landed while we waited) rather than our own search.
+func (c *resultCache) do(ctx context.Context, key string, meta cacheMeta, fn func() (*QueryResponse, error)) (*QueryResponse, bool, error) {
 	for {
 		c.mu.Lock()
 		if el, ok := c.items[key]; ok {
@@ -127,7 +128,8 @@ func (c *resultCache) do(ctx context.Context, key string, meta cacheMeta, fn fun
 		c.flights[key] = f
 		c.mu.Unlock()
 
-		f.val, f.shareable, f.err = fn()
+		f.val, f.err = fn()
+		f.shareable = f.err == nil && !f.val.Partial && !f.val.Degraded
 
 		c.mu.Lock()
 		delete(c.flights, key)

@@ -81,10 +81,12 @@ type MutationResponse struct {
 	CacheFlushed     bool `json:"cache_flushed"`
 }
 
-// decodeMutation parses and strictly validates a mutation request
-// against the dataset-independent limits; per-dataset vertex-range
-// checks happen in handleEdges once the dataset is resolved.
-func decodeMutation(r *http.Request) (*MutationRequest, *APIError) {
+// DecodeMutation parses and strictly validates a POST /v1/edges body
+// against the dataset-independent limits; vertex-range checks need a
+// resolved dataset and happen in handleEdges. The shard coordinator
+// reuses it so its mutation surface rejects precisely what a single-node
+// server would.
+func DecodeMutation(r *http.Request) (*MutationRequest, *APIError) {
 	dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	var req MutationRequest
@@ -109,53 +111,29 @@ func decodeMutation(r *http.Request) (*MutationRequest, *APIError) {
 	return &req, nil
 }
 
-// DecodeMutation parses and validates a POST /v1/edges body exactly as
-// the server's endpoint would (dataset-independent checks only —
-// vertex-range validation needs a resolved dataset). The shard
-// coordinator reuses it so its mutation surface rejects precisely what
-// a single-node server would.
-func DecodeMutation(r *http.Request) (*MutationRequest, *APIError) {
-	return decodeMutation(r)
-}
-
 // handleEdges applies one edge-mutation batch to a live dataset. It
-// rides the same pipeline as searches — request scoping, validation,
-// drain check, admission (a batch holds a worker slot while it applies,
-// so mutations and searches share the same concurrency budget),
-// tracing, panic containment via withRecovery — then publishes the next
-// epoch and invalidates exactly the cached results the batch can have
-// staled.
+// shares the search pipeline's stages — decode, dataset lookup and drain
+// check, the deadline clamp, admission (a batch holds a worker slot
+// while it applies, WAL fsync included, so mutations and searches share
+// one concurrency budget) — then publishes the next epoch and
+// invalidates exactly the cached results the batch can have staled.
 func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 	mMutationRequests.Inc()
 	start := time.Now()
 	defer func() { mMutationLatency.Observe(time.Since(start).Nanoseconds()) }()
 
-	rec := requestRecord(r.Context())
-	if rec == nil {
-		rec = &obs.RequestRecord{} // direct handler invocation in tests
-	}
-
-	req, aerr := decodeMutation(r)
+	req, aerr := DecodeMutation(r)
 	if aerr != nil {
-		mRejectInvalid.Inc()
-		writeAPIError(w, aerr)
+		s.writeError(w, r, aerr)
 		return
 	}
-	ds, ok := s.datasets[req.Dataset]
-	if !ok {
-		mRejectInvalid.Inc()
-		writeAPIError(w, &APIError{
-			Status:  http.StatusNotFound,
-			Code:    "unknown_dataset",
-			Message: fmt.Sprintf("unknown dataset %q (serving: %v)", req.Dataset, s.names),
-		})
+	ds, err := s.lookup(r.Context(), req.Dataset, "")
+	if err != nil {
+		s.writeError(w, r, err)
 		return
 	}
-	rec.Dataset = ds.Name
-	s.recorder.Annotate(rec.ID, ds.Name, "")
 	if ds.Live == nil {
-		mRejectInvalid.Inc()
-		writeAPIError(w, &APIError{
+		s.writeError(w, r, &APIError{
 			Status:  http.StatusConflict,
 			Code:    "immutable_dataset",
 			Message: fmt.Sprintf("dataset %q is not served in mutable mode", req.Dataset),
@@ -167,59 +145,32 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 	for i, e := range req.Edges {
 		insert := e.Op == "insert"
 		if !insert && e.Op != "delete" {
-			mRejectInvalid.Inc()
-			writeAPIError(w, badRequest("invalid_edge", "edges[%d].op must be \"insert\" or \"delete\", got %q", i, e.Op))
+			s.writeError(w, r, badRequest("invalid_edge", "edges[%d].op must be \"insert\" or \"delete\", got %q", i, e.Op))
 			return
 		}
 		if e.U < 0 || e.V < 0 || e.U >= int64(n) || e.V >= int64(n) {
-			mRejectInvalid.Inc()
-			writeAPIError(w, badRequest("invalid_edge", "edges[%d] endpoints (%d, %d) out of range [0,%d)", i, e.U, e.V, n))
+			s.writeError(w, r, badRequest("invalid_edge", "edges[%d] endpoints (%d, %d) out of range [0,%d)", i, e.U, e.V, n))
 			return
 		}
 		if e.U == e.V {
-			mRejectInvalid.Inc()
-			writeAPIError(w, badRequest("invalid_edge", "edges[%d] is a self-loop on vertex %d", i, e.U))
+			s.writeError(w, r, badRequest("invalid_edge", "edges[%d] is a self-loop on vertex %d", i, e.U))
 			return
 		}
 		ops[i] = ktg.EdgeOp{Insert: insert, U: ktg.Vertex(e.U), V: ktg.Vertex(e.V)}
 	}
-	if s.draining.Load() {
-		mRejectDraining.Inc()
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter(true)))
-		writeAPIError(w, &APIError{
-			Status:  http.StatusServiceUnavailable,
-			Code:    "draining",
-			Message: "server is shutting down",
-		})
-		return
-	}
-
 	span := obs.SpanFromContext(r.Context())
-	span.SetAttr("dataset", ds.Name)
 	span.SetAttr("edge_ops", strconv.Itoa(len(ops)))
 
-	// The admission wait (but not the apply itself) honors the request
-	// timeout: once a worker slot is held the batch publishes its epoch
-	// whole or not at all.
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMillis > 0 {
-		timeout = time.Duration(req.TimeoutMillis) * time.Millisecond
-	}
-	if timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
-	}
-	admitCtx, cancel := context.WithTimeout(r.Context(), timeout)
+	// The deadline bounds the admission wait, never the apply: once a
+	// worker slot is held the batch publishes its epoch whole or not at
+	// all.
+	admitCtx, cancel := context.WithTimeout(r.Context(), Timeout(req.TimeoutMillis, s.cfg.DefaultTimeout, s.cfg.MaxTimeout))
 	defer cancel()
-	admitStart := time.Now()
-	wait, err := s.adm.acquire(admitCtx)
-	if err != nil {
+	if _, err := s.admit(admitCtx); err != nil {
 		s.writeError(w, r, err)
 		return
 	}
 	defer s.adm.release()
-	rec.QueueWait = wait
-	span.AddCompletedChild("queue.wait", admitStart, wait,
-		obs.Attr{Key: "wait_ns", Value: strconv.FormatInt(wait.Nanoseconds(), 10)})
 
 	res, err := ds.Live.ApplyEdges(ops)
 	if err != nil {
@@ -233,6 +184,7 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 	span.AddCompletedChild("mutate.swap", start.Add(res.ApplyDuration), res.SwapDuration,
 		obs.Attr{Key: "epoch", Value: strconv.FormatUint(res.Epoch, 10)})
 	span.SetAttr("epoch", strconv.FormatUint(res.Epoch, 10))
+	rec := RequestRecord(r.Context())
 	rec.Epoch = res.Epoch
 	rec.Outcome = obs.OutcomeOK
 	mMutationApplied.Add(int64(res.Applied))
@@ -257,10 +209,10 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 			mMutationFlushes.Inc()
 		}
 	}
-	s.reqLogger(r.Context()).Info("edge batch applied",
+	s.scope.Logger(r.Context()).Info("edge batch applied",
 		"dataset", ds.Name, "epoch", res.Epoch, "applied", res.Applied,
 		"ignored", res.Ignored, "affected_vertices", len(res.AffectedVertices),
 		"cache_invalidated", resp.CacheInvalidated, "cache_flushed", resp.CacheFlushed,
 		"apply_dur", res.ApplyDuration, "swap_dur", res.SwapDuration)
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }

@@ -39,7 +39,7 @@ func (g *RecoveryGate) SetProgress(applied, total int) {
 func (g *RecoveryGate) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 	mux.HandleFunc("/", func(w http.ResponseWriter, _ *http.Request) {
 		remaining := g.remaining.Load()
@@ -47,7 +47,7 @@ func (g *RecoveryGate) Handler() http.Handler {
 			remaining = 0
 		}
 		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
+		WriteJSON(w, http.StatusServiceUnavailable, map[string]any{
 			"replaying":         true,
 			"records_remaining": remaining,
 		})

@@ -136,17 +136,18 @@ func badRequest(code, format string, args ...any) *APIError {
 	return &APIError{Status: http.StatusBadRequest, Code: code, Message: fmt.Sprintf(format, args...)}
 }
 
-// limits are the server-configured validation ceilings.
-type limits struct {
-	maxKeywords  int
-	maxGroupSize int
-	maxTopN      int
+// RequestLimits are the validation ceilings a front end enforces, from
+// its MaxKeywords / MaxGroupSize / MaxTopN configuration.
+type RequestLimits struct {
+	MaxKeywords  int
+	MaxGroupSize int
+	MaxTopN      int
 }
 
 // decodeRequest parses and strictly validates a query request body.
 // Unknown JSON fields are rejected so client typos (e.g. "groupsize")
 // fail loudly instead of silently applying defaults.
-func decodeRequest(r *http.Request, kind string, lim limits) (*QueryRequest, *APIError) {
+func decodeRequest(r *http.Request, kind string, lim RequestLimits) (*QueryRequest, *APIError) {
 	dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	var req QueryRequest
@@ -162,14 +163,6 @@ func decodeRequest(r *http.Request, kind string, lim limits) (*QueryRequest, *AP
 	return &req, nil
 }
 
-// RequestLimits are the validation ceilings for DecodeRequest, mirroring
-// the server's MaxKeywords / MaxGroupSize / MaxTopN configuration.
-type RequestLimits struct {
-	MaxKeywords  int
-	MaxGroupSize int
-	MaxTopN      int
-}
-
 // DecodeRequest parses and validates a client-facing query request body
 // exactly as the server's /v1/query (diverse=false) or /v1/diverse
 // (diverse=true) endpoint would. The shard coordinator reuses it so its
@@ -179,14 +172,10 @@ func DecodeRequest(r *http.Request, diverse bool, lim RequestLimits) (*QueryRequ
 	if diverse {
 		kind = kindDiverse
 	}
-	return decodeRequest(r, kind, limits{
-		maxKeywords:  lim.MaxKeywords,
-		maxGroupSize: lim.MaxGroupSize,
-		maxTopN:      lim.MaxTopN,
-	})
+	return decodeRequest(r, kind, lim)
 }
 
-func (req *QueryRequest) validate(kind string, lim limits) *APIError {
+func (req *QueryRequest) validate(kind string, lim RequestLimits) *APIError {
 	diverse := kind == kindDiverse
 	if req.Dataset == "" {
 		return badRequest("missing_dataset", "dataset is required")
@@ -194,8 +183,8 @@ func (req *QueryRequest) validate(kind string, lim limits) *APIError {
 	if len(req.Keywords) == 0 {
 		return badRequest("missing_keywords", "keywords must list at least one keyword")
 	}
-	if len(req.Keywords) > lim.maxKeywords {
-		return badRequest("too_many_keywords", "keywords lists %d entries, server limit is %d", len(req.Keywords), lim.maxKeywords)
+	if len(req.Keywords) > lim.MaxKeywords {
+		return badRequest("too_many_keywords", "keywords lists %d entries, server limit is %d", len(req.Keywords), lim.MaxKeywords)
 	}
 	for i, kw := range req.Keywords {
 		if strings.TrimSpace(kw) == "" {
@@ -205,8 +194,8 @@ func (req *QueryRequest) validate(kind string, lim limits) *APIError {
 	if req.GroupSize < 1 {
 		return badRequest("invalid_group_size", "group_size must be at least 1, got %d", req.GroupSize)
 	}
-	if req.GroupSize > lim.maxGroupSize {
-		return badRequest("invalid_group_size", "group_size %d exceeds server limit %d", req.GroupSize, lim.maxGroupSize)
+	if req.GroupSize > lim.MaxGroupSize {
+		return badRequest("invalid_group_size", "group_size %d exceeds server limit %d", req.GroupSize, lim.MaxGroupSize)
 	}
 	if req.Tenuity < 0 {
 		return badRequest("invalid_tenuity", "tenuity must be non-negative, got %d", req.Tenuity)
@@ -217,8 +206,8 @@ func (req *QueryRequest) validate(kind string, lim limits) *APIError {
 	if req.TopN == 0 {
 		req.TopN = 1
 	}
-	if req.TopN > lim.maxTopN {
-		return badRequest("invalid_top_n", "top_n %d exceeds server limit %d", req.TopN, lim.maxTopN)
+	if req.TopN > lim.MaxTopN {
+		return badRequest("invalid_top_n", "top_n %d exceeds server limit %d", req.TopN, lim.MaxTopN)
 	}
 	if _, ok := wireAlgorithms[req.Algorithm]; !ok && req.Algorithm != "greedy" {
 		return badRequest("unknown_algorithm", "unknown algorithm %q (valid: %s)", req.Algorithm, strings.Join(AlgorithmNames(), ", "))

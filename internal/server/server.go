@@ -147,11 +147,12 @@ func (ds *Dataset) view() (*ktg.Network, ktg.DistanceIndex, uint64) {
 // Handler(), and call Drain before shutting the http.Server down.
 type Server struct {
 	cfg      Config
+	lim      RequestLimits
 	datasets map[string]*Dataset
 	names    []string
 	adm      *admitter
 	cache    *resultCache
-	recorder *obs.FlightRecorder
+	scope    *Scope
 	draining atomic.Bool
 }
 
@@ -163,10 +164,11 @@ func New(cfg Config, datasets ...*Dataset) (*Server, error) {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:      cfg,
+		lim:      RequestLimits{MaxKeywords: cfg.MaxKeywords, MaxGroupSize: cfg.MaxGroupSize, MaxTopN: cfg.MaxTopN},
 		datasets: make(map[string]*Dataset, len(datasets)),
 		adm:      newAdmitter(cfg.Workers, cfg.QueueDepth),
 		cache:    newResultCache(cfg.CacheSize),
-		recorder: cfg.Recorder,
+		scope:    NewScope("server", cfg.Logger, cfg.Recorder, cfg.TraceStore),
 	}
 	for _, ds := range datasets {
 		if ds.Name == "" || ds.Network == nil {
@@ -196,16 +198,6 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 func (s *Server) Workers() int    { return s.cfg.Workers }
 func (s *Server) QueueDepth() int { return s.cfg.QueueDepth }
 
-// traceStore resolves the store serving /debug/traces: the configured
-// one, else the process default (resolved per request, mirroring the
-// DefaultRecorder pattern; may be nil).
-func (s *Server) traceStore() *obs.TraceStore {
-	if s.cfg.TraceStore != nil {
-		return s.cfg.TraceStore
-	}
-	return obs.DefaultTraceStore()
-}
-
 // Handler returns the server's route tree:
 //
 //	POST /v1/query             exact / greedy KTG search
@@ -224,12 +216,12 @@ func (s *Server) traceStore() *obs.TraceStore {
 //	GET  /debug/traces         tail-sampled trace store listing
 //	GET  /debug/traces/{id}    one trace (JSON; ?format=waterfall for ASCII)
 //
-// Every request is assigned a request ID (inbound X-Request-Id honored
-// when well-formed, generated otherwise) that is echoed in the
-// X-Request-Id response header and stamped on every log line the
-// request produces. /v1/* requests additionally join the caller's W3C
-// trace (traceparent header) or start their own; the trace ID is echoed
-// as X-Trace-Id.
+// Every request runs inside the shared request Scope: it is assigned a
+// request ID (inbound X-Request-Id honored when well-formed, generated
+// otherwise) that is echoed in the X-Request-Id response header and
+// stamped on every log line the request produces. /v1/* requests
+// additionally join the caller's W3C trace (traceparent header) or start
+// their own; the trace ID is echoed as X-Trace-Id.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/query", s.handleQuery)
@@ -238,48 +230,33 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/edges", s.handleEdges)
 	mux.HandleFunc("GET /v1/datasets", s.handleDatasets)
 	mux.HandleFunc("POST /v1/cache/invalidate", s.handleInvalidate)
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-	})
-	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, _ *http.Request) {
-		if s.draining.Load() {
-			writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
-			return
-		}
-		body := map[string]any{"status": "ready"}
-		// Durable datasets stamp their recovery outcome so an operator
-		// (or the restart smoke) can confirm from the readiness probe
-		// alone that the pre-crash epoch was republished.
-		wal := make(map[string]*ktg.RecoveryStats)
-		for _, name := range s.names {
-			if ds := s.datasets[name]; ds.Live != nil && ds.Live.Recovery() != nil {
-				wal[name] = ds.Live.Recovery()
-			}
-		}
-		if len(wal) > 0 {
-			body["wal"] = wal
-		}
-		writeJSON(w, http.StatusOK, body)
-	})
-	mux.Handle("GET /metrics", obs.Default().Handler())
-	mux.Handle("GET /debug/requests", s.recorder.RecentHandler())
-	mux.Handle("GET /debug/requests/slow", s.recorder.SlowHandler())
-	mux.Handle("GET /debug/inflight", s.recorder.InflightHandler())
-	mux.Handle("GET /debug/search", s.recorder.SearchHandler())
-	mux.HandleFunc("GET /debug/traces", func(w http.ResponseWriter, r *http.Request) {
-		s.traceStore().HandleTraces(w, r)
-	})
-	mux.HandleFunc("GET /debug/traces/{id}", func(w http.ResponseWriter, r *http.Request) {
-		ts := s.traceStore()
-		if ts == nil {
-			http.Error(w, "trace store disabled", http.StatusNotFound)
-			return
-		}
-		ts.HandleTraceByID(w, r)
-	})
+	mux.HandleFunc("GET /readyz", s.handleReady)
+	mux.Handle("GET /debug/search", s.cfg.Recorder.SearchHandler())
+	s.scope.Mount(mux)
 	// Request scoping sits outermost so the recovery layer's panic log
 	// already carries the request_id attribute.
-	return s.withRequestScope(s.withRecovery(mux))
+	return s.scope.Wrap(s.withRecovery(mux))
+}
+
+func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
+	if s.draining.Load() {
+		WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+		return
+	}
+	body := map[string]any{"status": "ready"}
+	// Durable datasets stamp their recovery outcome so an operator (or
+	// the restart smoke) can confirm from the readiness probe alone that
+	// the pre-crash epoch was republished.
+	wal := make(map[string]*ktg.RecoveryStats)
+	for _, name := range s.names {
+		if ds := s.datasets[name]; ds.Live != nil && ds.Live.Recovery() != nil {
+			wal[name] = ds.Live.Recovery()
+		}
+	}
+	if len(wal) > 0 {
+		body["wal"] = wal
+	}
+	WriteJSON(w, http.StatusOK, body)
 }
 
 // withRecovery converts handler panics into 500s so one poisoned
@@ -300,11 +277,11 @@ func (s *Server) withRecovery(next http.Handler) http.Handler {
 				panic(rec)
 			}
 			mPanics.Inc()
-			s.reqLogger(r.Context()).Error("request handler panicked",
+			s.scope.Logger(r.Context()).Error("request handler panicked",
 				"path", r.URL.Path, "panic", rec, "stack", string(debug.Stack()))
 			// Best effort: if the handler already started the response the
 			// extra header write is a no-op on a hijacked/committed stream.
-			writeAPIError(w, &APIError{
+			Reject(w, r, &APIError{
 				Status:  http.StatusInternalServerError,
 				Code:    "internal_panic",
 				Message: "internal error",
@@ -324,108 +301,116 @@ func (s *Server) handleDiverse(w http.ResponseWriter, r *http.Request) {
 	s.serveSearch(w, r, kindDiverse, mDiverseLatency)
 }
 
-// serveSearch is the shared request pipeline: decode → validate →
-// resolve dataset → drain check → cache/singleflight → admission →
-// search → encode. Along the way it fills the request's flight-recorder
-// record (dataset, algorithm, params digest, queue wait, phase spans,
-// stats, outcome) and feeds the dataset/algorithm-labeled latency and
-// effort series.
+// serveSearch is the request pipeline of every search endpoint. Its
+// stages run in this order:
+//
+//  1. decode and validate the body
+//  2. resolve the dataset
+//  3. refuse new work while draining
+//  4. answer from the result cache or join an identical in-flight
+//     search; explain runs and partial slices bypass both
+//  5. admission
+//  6. the request deadline
+//  7. probe registration and the search span
+//  8. the core call
+//  9. outcome, flight record and metrics
+//  10. encode
+//
+// Stages 5 to 8 run in runSearch, the singleflight leader body. Along
+// the way serveSearch fills the request's flight record (dataset,
+// algorithm, params digest, queue wait, phases, stats, outcome) and
+// feeds the dataset/algorithm-labeled latency and effort series.
 func (s *Server) serveSearch(w http.ResponseWriter, r *http.Request, kind string, latency *obs.HistogramVec) {
 	start := time.Now()
-	rec := requestRecord(r.Context())
-	if rec == nil {
-		rec = &obs.RequestRecord{} // direct handler invocation in tests
-	}
 	dsLabel, algLabel := labelUnknown, labelUnknown
 	defer func() { latency.With(dsLabel, algLabel).Observe(time.Since(start).Nanoseconds()) }()
 
-	req, aerr := decodeRequest(r, kind, limits{
-		maxKeywords:  s.cfg.MaxKeywords,
-		maxGroupSize: s.cfg.MaxGroupSize,
-		maxTopN:      s.cfg.MaxTopN,
-	})
+	req, aerr := decodeRequest(r, kind, s.lim)
 	if aerr != nil {
-		mRejectInvalid.Inc()
-		writeAPIError(w, aerr)
+		s.writeError(w, r, aerr)
 		return
 	}
-	ds, ok := s.datasets[req.Dataset]
-	if !ok {
-		mRejectInvalid.Inc()
-		writeAPIError(w, &APIError{
-			Status:  http.StatusNotFound,
-			Code:    "unknown_dataset",
-			Message: fmt.Sprintf("unknown dataset %q (serving: %v)", req.Dataset, s.names),
-		})
+	alg := req.Algorithm
+	if alg == "" {
+		alg = "vkc-deg"
+	}
+	ds, err := s.lookup(r.Context(), req.Dataset, alg)
+	if err != nil {
+		s.writeError(w, r, err)
 		return
 	}
-	dsLabel = ds.Name
-	algLabel = req.Algorithm
-	if algLabel == "" {
-		algLabel = "vkc-deg"
-	}
-	rec.Dataset, rec.Algorithm = dsLabel, algLabel
-	s.recorder.Annotate(rec.ID, dsLabel, algLabel)
-	if s.draining.Load() {
-		mRejectDraining.Inc()
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter(true)))
-		writeAPIError(w, &APIError{
-			Status:  http.StatusServiceUnavailable,
-			Code:    "draining",
-			Message: "server is shutting down",
-		})
-		return
-	}
-
+	dsLabel, algLabel = ds.Name, alg
 	span := obs.SpanFromContext(r.Context())
-	span.SetAttr("dataset", dsLabel)
-	span.SetAttr("algorithm", algLabel)
+	span.SetAttr("algorithm", alg)
 
+	var (
+		resp        *QueryResponse
+		slice       *ktg.PartialResult
+		cacheStatus string
+	)
+	if kind == kindPartial {
+		// Partial slices bypass the result cache and singleflight: a
+		// slice is a coordinator-internal building block, and caching one
+		// would let a stale shard poison every merged answer.
+		span.SetAttr("slice", fmt.Sprintf("%d/%d", req.SliceIndex, req.SliceCount))
+		resp, slice, err = s.runSearch(r.Context(), req, ds, kind)
+	} else {
+		resp, cacheStatus, err = s.cacheOrRun(r.Context(), req, ds, kind)
+	}
+	if err != nil {
+		s.writeError(w, r, err)
+		return
+	}
+
+	rec := RequestRecord(r.Context())
+	rec.Stats, rec.Epoch = resp.Stats, resp.Epoch
+	if cacheStatus == "hit" || cacheStatus == "shared" {
+		rec.Outcome = obs.OutcomeCached
+	} else {
+		rec.Outcome = Outcome(resp.Degraded, resp.Partial)
+		mSearchNodesSplit.With(dsLabel, algLabel).Add(resp.Stats.Nodes)
+		mSearchChecksSplit.With(dsLabel, algLabel).Add(resp.Stats.DistanceChecks)
+	}
+	if kind == kindPartial {
+		writePartial(w, req, resp, slice)
+		return
+	}
+	s.writeResponse(w, resp, cacheStatus)
+}
+
+// cacheOrRun is stage 4 for /v1/query and /v1/diverse. It answers from
+// the result cache, joins an identical in-flight search, or leads a new
+// one; a hit or a shared answer never takes a worker slot. It returns
+// the answer with its cache status: "hit", "shared", "miss", or
+// "bypass" for an explain run.
+func (s *Server) cacheOrRun(ctx context.Context, req *QueryRequest, ds *Dataset, kind string) (*QueryResponse, string, error) {
+	span := obs.SpanFromContext(ctx)
 	key := req.cacheKey(kind)
-	rec.ParamsDigest = key[:16]
+	RequestRecord(ctx).ParamsDigest = key[:16]
 
 	// Explain runs bypass the result cache and the singleflight group
 	// entirely: the plan must describe the execution that answered this
 	// request, a cached or joined answer has no such execution, and
 	// storing an explain-bearing response would leak one request's plan
-	// to every later hit. The cache status says "bypass".
+	// to every later hit.
 	if req.Explain {
 		mExplainRequests.Inc()
 		span.Event("cache.bypass", 0)
-		resp, _, err := s.runSearch(r.Context(), req, ds, kind, rec)
-		if err != nil {
-			rec.Outcome, rec.Error = obs.OutcomeError, err.Error()
-			s.writeError(w, r, err)
-			return
-		}
-		switch {
-		case resp.Degraded:
-			rec.Outcome = obs.OutcomeDegraded
-		case resp.Partial:
-			rec.Outcome = obs.OutcomePartial
-		default:
-			rec.Outcome = obs.OutcomeOK
-		}
-		rec.Stats, rec.Epoch = resp.Stats, resp.Epoch
-		mSearchNodesSplit.With(dsLabel, algLabel).Add(resp.Stats.Nodes)
-		mSearchChecksSplit.With(dsLabel, algLabel).Add(resp.Stats.DistanceChecks)
-		s.writeResponse(w, resp, "bypass")
-		return
+		resp, _, err := s.runSearch(ctx, req, ds, kind)
+		return resp, "bypass", err
 	}
 
 	if resp, ok := s.cache.lookup(key); ok {
 		mCacheHits.Inc()
 		span.Event("cache.hit", 0)
-		rec.Outcome, rec.Stats, rec.Epoch = obs.OutcomeCached, resp.Stats, resp.Epoch
-		s.writeResponse(w, resp, "hit")
-		return
+		return resp, "hit", nil
 	}
-
 	leader := false
 	meta := cacheMeta{dataset: ds.Name, kws: req.uniqKeywords()}
-	resp, fromFlight, err := s.cache.do(r.Context(), key, meta, func() (*QueryResponse, bool, error) {
+	resp, fromFlight, err := s.cache.do(ctx, key, meta, func() (*QueryResponse, error) {
 		leader = true
-		return s.runSearch(r.Context(), req, ds, kind, rec)
+		resp, _, err := s.runSearch(ctx, req, ds, kind)
+		return resp, err
 	})
 	switch {
 	case err == nil && fromFlight:
@@ -433,30 +418,69 @@ func (s *Server) serveSearch(w http.ResponseWriter, r *http.Request, kind string
 		// while we waited) — no search of our own ran.
 		mCacheShared.Inc()
 		span.Event("cache.shared", 0)
-		rec.Outcome, rec.Stats, rec.Epoch = obs.OutcomeCached, resp.Stats, resp.Epoch
-		s.writeResponse(w, resp, "shared")
+		return resp, "shared", nil
 	case err == nil:
 		mCacheMisses.Inc()
 		span.Event("cache.miss", 0)
-		switch {
-		case resp.Degraded:
-			rec.Outcome = obs.OutcomeDegraded
-		case resp.Partial:
-			rec.Outcome = obs.OutcomePartial
-		default:
-			rec.Outcome = obs.OutcomeOK
-		}
-		rec.Stats = resp.Stats
-		mSearchNodesSplit.With(dsLabel, algLabel).Add(resp.Stats.Nodes)
-		mSearchChecksSplit.With(dsLabel, algLabel).Add(resp.Stats.DistanceChecks)
-		s.writeResponse(w, resp, "miss")
-	default:
-		if leader {
-			mCacheMisses.Inc()
-		}
-		rec.Outcome, rec.Error = obs.OutcomeError, err.Error()
-		s.writeError(w, r, err)
+	case leader:
+		mCacheMisses.Inc()
 	}
+	return resp, "miss", err
+}
+
+// lookup resolves a request's dataset and refuses new work while the
+// server drains: stages 2 and 3 of every admitted endpoint. algorithm
+// is the request's normalized algorithm ("" for edge batches).
+func (s *Server) lookup(ctx context.Context, name, algorithm string) (*Dataset, error) {
+	ds, ok := s.datasets[name]
+	if !ok {
+		return nil, &APIError{
+			Status:  http.StatusNotFound,
+			Code:    "unknown_dataset",
+			Message: fmt.Sprintf("unknown dataset %q (serving: %v)", name, s.names),
+		}
+	}
+	s.scope.Annotate(ctx, ds.Name, algorithm)
+	if s.draining.Load() {
+		return nil, errDraining
+	}
+	obs.SpanFromContext(ctx).SetAttr("dataset", ds.Name)
+	return ds, nil
+}
+
+// errDraining refuses new work once Drain has been called.
+var errDraining = &APIError{
+	Status:  http.StatusServiceUnavailable,
+	Code:    "draining",
+	Message: "server is shutting down",
+}
+
+// admit takes a worker slot (stage 5), waiting no longer than ctx
+// allows, and records the wait on the flight record and as the request's
+// queue.wait span. On success the caller must release the slot.
+func (s *Server) admit(ctx context.Context) (time.Duration, error) {
+	start := time.Now()
+	wait, err := s.adm.acquire(ctx)
+	if err != nil {
+		return 0, err
+	}
+	RequestRecord(ctx).QueueWait = wait
+	obs.SpanFromContext(ctx).AddCompletedChild("queue.wait", start, wait,
+		obs.Attr{Key: "wait_ns", Value: strconv.FormatInt(wait.Nanoseconds(), 10)})
+	return wait, nil
+}
+
+// Timeout is a request's deadline: its timeout_ms when set, else def,
+// never more than max. Every deadline on both front ends comes from it.
+func Timeout(timeoutMillis int64, def, max time.Duration) time.Duration {
+	timeout := def
+	if timeoutMillis > 0 {
+		timeout = time.Duration(timeoutMillis) * time.Millisecond
+	}
+	if timeout > max {
+		timeout = max
+	}
+	return timeout
 }
 
 // testSearchHook, when non-nil, runs inside runSearch after admission
@@ -464,10 +488,10 @@ func (s *Server) serveSearch(w http.ResponseWriter, r *http.Request, kind string
 // latency; production never sets it.
 var testSearchHook func(kind string, req *QueryRequest)
 
-// runSearch executes one admitted search. It returns the response, a
-// shareable flag (true only for complete results — those are safe to
-// cache and to hand to concurrent identical requests), and an error
-// for outcomes that cannot produce a response at all.
+// runSearch executes one search, stages 5 to 8: admission, the deadline,
+// the probe and search span, and the core call. It returns the answer,
+// plus the slice's merge stream for a partial search, or an error for
+// outcomes that cannot produce an answer at all.
 //
 // runSearch is the singleflight leader body, so a panic here must be
 // recovered *here*: letting it unwind through cache.do would leave the
@@ -475,8 +499,8 @@ var testSearchHook func(kind string, req *QueryRequest)
 // it. The recover converts the panic into a plain 500 error, and the
 // deferred release (registered after acquire, so it runs first) still
 // returns the worker slot.
-func (s *Server) runSearch(reqCtx context.Context, req *QueryRequest, ds *Dataset, kind string, reqRec *obs.RequestRecord) (resp *QueryResponse, shareable bool, err error) {
-	logger := s.reqLogger(reqCtx)
+func (s *Server) runSearch(reqCtx context.Context, req *QueryRequest, ds *Dataset, kind string) (resp *QueryResponse, slice *ktg.PartialResult, err error) {
+	logger := s.scope.Logger(reqCtx)
 	defer func() {
 		rec := recover()
 		if rec == nil {
@@ -485,7 +509,7 @@ func (s *Server) runSearch(reqCtx context.Context, req *QueryRequest, ds *Datase
 		mPanics.Inc()
 		logger.Error("search panicked",
 			"dataset", req.Dataset, "kind", kind, "panic", rec, "stack", string(debug.Stack()))
-		resp, shareable = nil, false
+		resp, slice = nil, nil
 		err = &APIError{
 			Status:  http.StatusInternalServerError,
 			Code:    "internal_panic",
@@ -493,24 +517,14 @@ func (s *Server) runSearch(reqCtx context.Context, req *QueryRequest, ds *Datase
 		}
 	}()
 
-	admitStart := time.Now()
-	wait, err := s.adm.acquire(reqCtx)
+	// The admission wait is bounded by the request context alone; the
+	// search deadline starts once a worker slot is held.
+	wait, err := s.admit(reqCtx)
 	if err != nil {
-		return nil, false, err
+		return nil, nil, err
 	}
 	defer s.adm.release()
-	reqRec.QueueWait = wait
-	parentSpan := obs.SpanFromContext(reqCtx)
-	parentSpan.AddCompletedChild("queue.wait", admitStart, wait,
-		obs.Attr{Key: "wait_ns", Value: strconv.FormatInt(wait.Nanoseconds(), 10)})
-
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMillis > 0 {
-		timeout = time.Duration(req.TimeoutMillis) * time.Millisecond
-	}
-	if timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
-	}
+	timeout := Timeout(req.TimeoutMillis, s.cfg.DefaultTimeout, s.cfg.MaxTimeout)
 	ctx, cancel := context.WithTimeout(reqCtx, timeout)
 	defer cancel()
 
@@ -518,9 +532,10 @@ func (s *Server) runSearch(reqCtx context.Context, req *QueryRequest, ds *Datase
 	// view of the in-flight table, the improvement-time histograms, and
 	// — when the request asked — the explain block. When nobody looks,
 	// the probe costs the hot path one branch and counter bump per node.
+	reqRec := RequestRecord(reqCtx)
 	probe := &ktg.Probe{}
-	s.recorder.SetProgress(reqRec.ID, func() any { return probe.Snapshot() })
-	defer s.recorder.SetProgress(reqRec.ID, nil)
+	s.cfg.Recorder.SetProgress(reqRec.ID, func() any { return probe.Snapshot() })
+	defer s.cfg.Recorder.SetProgress(reqRec.ID, nil)
 
 	// The search child span wraps the whole core call; the core hangs
 	// its own compile/candidates/explore children off it via ctx. The
@@ -539,6 +554,9 @@ func (s *Server) runSearch(reqCtx context.Context, req *QueryRequest, ds *Datase
 			searchSpan.SetAttr("algorithm", resp.Algorithm)
 			searchSpan.SetAttr("nodes", strconv.FormatInt(resp.Stats.Nodes, 10))
 			searchSpan.SetAttr("distance_checks", strconv.FormatInt(resp.Stats.DistanceChecks, 10))
+		}
+		if slice != nil {
+			searchSpan.SetAttr("offers", strconv.Itoa(len(slice.Offers)))
 		}
 		if pe := probe.Explain(); pe != nil {
 			searchSpan.SetAttr("final_threshold", strconv.Itoa(pe.FinalThresh))
@@ -575,7 +593,7 @@ func (s *Server) runSearch(reqCtx context.Context, req *QueryRequest, ds *Datase
 	nw, idx, epoch := ds.view()
 	reqRec.Epoch = epoch
 	if epoch != 0 {
-		parentSpan.SetAttr("epoch", strconv.FormatUint(epoch, 10))
+		obs.SpanFromContext(reqCtx).SetAttr("epoch", strconv.FormatUint(epoch, 10))
 	}
 
 	q := ktg.Query{
@@ -603,7 +621,7 @@ func (s *Server) runSearch(reqCtx context.Context, req *QueryRequest, ds *Datase
 		resp.Algorithm = "greedy"
 		resp.Degraded = true
 		resp.DegradedReason = degradedReason
-		parentSpan.Event("degrade."+degradedReason, wait.Nanoseconds())
+		obs.SpanFromContext(reqCtx).Event("degrade."+degradedReason, wait.Nanoseconds())
 		logger.Warn("degrading exact search to greedy",
 			"dataset", req.Dataset, "reason", degradedReason, "queue_wait", wait)
 	}
@@ -622,6 +640,11 @@ func (s *Server) runSearch(reqCtx context.Context, req *QueryRequest, ds *Datase
 			resp.MinQKC = &dr.MinQKC
 			resp.Score = &dr.Score
 		}
+	case kind == kindPartial:
+		slice, err = nw.SearchPartial(q, opts, ktg.CandidateSlice{Index: req.SliceIndex, Count: req.SliceCount})
+		if slice != nil {
+			res = &ktg.Result{Groups: slice.Groups, Stats: slice.Stats}
+		}
 	case req.Algorithm == "greedy" || degradedReason != "":
 		res, err = nw.SearchGreedyWith(q, opts, req.Seeds)
 	default:
@@ -632,14 +655,14 @@ func (s *Server) runSearch(reqCtx context.Context, req *QueryRequest, ds *Datase
 		// Validation failures inside the core; our own validation should
 		// make this unreachable, so surface it as a 400 with the core's
 		// message rather than masking it.
-		return nil, false, badRequest("invalid_query", "%v", err)
+		return nil, nil, badRequest("invalid_query", "%v", err)
 	}
 	reqRec.Phases = searchPhases(res.Stats)
 	if reqCtx.Err() != nil {
 		// The client went away (or shutdown force-cancelled the base
 		// context) mid-search: there is nobody to answer. writeError
 		// counts this under ktg_server_cancelled_total.
-		return nil, false, reqCtx.Err()
+		return nil, nil, reqCtx.Err()
 	}
 	resp.Groups = make([]GroupJSON, 0, len(res.Groups))
 	for _, g := range res.Groups {
@@ -653,7 +676,7 @@ func (s *Server) runSearch(reqCtx context.Context, req *QueryRequest, ds *Datase
 	case errors.Is(err, ktg.ErrBudgetExhausted):
 		resp.Partial, resp.PartialReason = true, "budget"
 	default:
-		return nil, false, fmt.Errorf("search failed: %w", err)
+		return nil, nil, fmt.Errorf("search failed: %w", err)
 	}
 	if resp.Partial {
 		mPartial.Inc()
@@ -668,9 +691,7 @@ func (s *Server) runSearch(reqCtx context.Context, req *QueryRequest, ds *Datase
 		pe.Epoch = epoch
 		resp.Explain = pe
 	}
-	// Partial and degraded results are request-specific compromises, not
-	// the query's true answer — never cache or share them.
-	return resp, !resp.Partial && !resp.Degraded, nil
+	return resp, slice, nil
 }
 
 // searchPhases lists a search's phases for its flight-recorder record,
@@ -729,13 +750,13 @@ func (s *Server) handleDatasets(w http.ResponseWriter, _ *http.Request) {
 		}
 		out = append(out, d)
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"datasets": out})
+	WriteJSON(w, http.StatusOK, map[string]any{"datasets": out})
 }
 
 func (s *Server) handleInvalidate(w http.ResponseWriter, r *http.Request) {
 	n := s.cache.invalidate()
-	s.reqLogger(r.Context()).Info("result cache invalidated", "entries", n)
-	writeJSON(w, http.StatusOK, map[string]any{"invalidated": n})
+	s.scope.Logger(r.Context()).Info("result cache invalidated", "entries", n)
+	WriteJSON(w, http.StatusOK, map[string]any{"invalidated": n})
 }
 
 // writeResponse stamps the per-request cache status onto a copy of the
@@ -744,58 +765,62 @@ func (s *Server) writeResponse(w http.ResponseWriter, resp *QueryResponse, cache
 	out := *resp
 	out.Cache = cacheStatus
 	w.Header().Set("X-KTG-Cache", cacheStatus)
-	writeJSON(w, http.StatusOK, &out)
+	WriteJSON(w, http.StatusOK, &out)
 }
 
-// writeError maps pipeline errors onto HTTP statuses.
+// writeError answers a request the pipeline cannot serve: it maps err
+// onto its wire error and rejection counter, then rejects the request
+// through Reject, which records the error on the flight record.
 func (s *Server) writeError(w http.ResponseWriter, r *http.Request, err error) {
 	var aerr *APIError
 	switch {
+	case errors.Is(err, errDraining):
+		mRejectDraining.Inc()
+		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter(true)))
+		aerr = errDraining
 	case errors.As(err, &aerr):
 		if aerr.Status < 500 {
 			mRejectInvalid.Inc()
 		}
-		writeAPIError(w, aerr)
 	case errors.Is(err, errOverloaded):
 		mRejectOverload.Inc()
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter(false)))
-		writeAPIError(w, &APIError{
+		aerr = &APIError{
 			Status:  http.StatusTooManyRequests,
 			Code:    "overloaded",
 			Message: "all workers busy and the wait queue is full; retry shortly",
-		})
+		}
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		// The client is gone; the status code is for logs only.
 		mCancelled.Inc()
-		s.reqLogger(r.Context()).Info("request abandoned by client", "path", r.URL.Path)
-		writeAPIError(w, &APIError{
+		s.scope.Logger(r.Context()).Info("request abandoned by client", "path", r.URL.Path)
+		aerr = &APIError{
 			Status:  http.StatusServiceUnavailable,
 			Code:    "client_gone",
 			Message: "request context cancelled before a result was ready",
-		})
+		}
 	default:
-		s.reqLogger(r.Context()).Error("query failed", "path", r.URL.Path, "err", err)
-		writeAPIError(w, &APIError{
+		s.scope.Logger(r.Context()).Error("query failed", "path", r.URL.Path, "err", err)
+		aerr = &APIError{
 			Status:  http.StatusInternalServerError,
 			Code:    "internal",
 			Message: err.Error(),
-		})
+		}
 	}
+	Reject(w, r, aerr)
 }
 
-func writeAPIError(w http.ResponseWriter, aerr *APIError) {
-	writeJSON(w, aerr.Status, map[string]any{"error": aerr})
+// WriteAPIError and WriteJSON are the server's wire encoding (status
+// mapping, {"error": {...}} envelope, indented JSON); the shard
+// coordinator answers through them so it is byte-compatible with a
+// single-node server.
+func WriteAPIError(w http.ResponseWriter, aerr *APIError) {
+	WriteJSON(w, aerr.Status, map[string]any{"error": aerr})
 }
 
-// WriteAPIError and WriteJSON expose the server's wire encoding (status
-// mapping, {"error": {...}} envelope, indented JSON) so the shard
-// coordinator answers byte-compatibly with a single-node server.
-func WriteAPIError(w http.ResponseWriter, aerr *APIError) { writeAPIError(w, aerr) }
-
-// WriteJSON encodes v exactly as the server's own handlers do.
-func WriteJSON(w http.ResponseWriter, status int, v any) { writeJSON(w, status, v) }
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON encodes v with the given status exactly as every handler
+// does.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)

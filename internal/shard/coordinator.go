@@ -22,10 +22,11 @@ package shard
 import (
 	"context"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
-	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -101,8 +102,9 @@ type shardConn struct {
 // call Drain before shutting the http.Server down.
 type Coordinator struct {
 	cfg      Config
+	lim      server.RequestLimits
 	shards   []*shardConn
-	recorder *obs.FlightRecorder
+	scope    *server.Scope
 	draining atomic.Bool
 	// rr rotates the starting shard for forwarded (non-scattered)
 	// queries so one shard does not absorb all greedy/diverse traffic.
@@ -115,7 +117,11 @@ func New(cfg Config) (*Coordinator, error) {
 		return nil, fmt.Errorf("shard: at least one shard URL is required")
 	}
 	cfg = cfg.withDefaults()
-	co := &Coordinator{cfg: cfg, recorder: cfg.Recorder}
+	co := &Coordinator{
+		cfg:   cfg,
+		lim:   server.RequestLimits{MaxKeywords: cfg.MaxKeywords, MaxGroupSize: cfg.MaxGroupSize, MaxTopN: cfg.MaxTopN},
+		scope: server.NewScope("coord", cfg.Logger, cfg.Recorder, cfg.TraceStore),
+	}
 	seen := make(map[string]bool, len(cfg.Shards))
 	for i, raw := range cfg.Shards {
 		base := strings.TrimRight(strings.TrimSpace(raw), "/")
@@ -161,14 +167,6 @@ func (co *Coordinator) Shards() []string {
 	return out
 }
 
-// traceStore resolves the store serving /debug/traces (may be nil).
-func (co *Coordinator) traceStore() *obs.TraceStore {
-	if co.cfg.TraceStore != nil {
-		return co.cfg.TraceStore
-	}
-	return obs.DefaultTraceStore()
-}
-
 // Handler returns the coordinator's route tree — the single-node /v1
 // surface plus the fleet-status endpoint:
 //
@@ -184,9 +182,10 @@ func (co *Coordinator) traceStore() *obs.TraceStore {
 //	GET  /debug/search         fleet-wide in-flight searches (each shard's table, tagged by shard)
 //	GET  /debug/traces[/{id}]  tail-sampled coordinator trace store
 //
-// Requests carry the same X-Request-Id / X-Trace-Id contract as a
-// single-node server; shard calls propagate the trace via traceparent,
-// so one trace spans the coordinator and every shard it touched.
+// Requests run inside the single-node server's request Scope, so they
+// carry the same X-Request-Id / X-Trace-Id contract; shard calls
+// propagate the trace via traceparent, so one trace spans the
+// coordinator and every shard it touched.
 func (co *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/query", co.handleQuery)
@@ -195,9 +194,6 @@ func (co *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/datasets", co.handleDatasets)
 	mux.HandleFunc("GET /v1/shards", co.handleShards)
 	mux.HandleFunc("POST /v1/cache/invalidate", co.handleInvalidate)
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		server.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-	})
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, _ *http.Request) {
 		if co.draining.Load() {
 			server.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
@@ -205,132 +201,74 @@ func (co *Coordinator) Handler() http.Handler {
 		}
 		server.WriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 	})
-	mux.Handle("GET /metrics", obs.Default().Handler())
-	mux.Handle("GET /debug/requests", co.recorder.RecentHandler())
-	mux.Handle("GET /debug/requests/slow", co.recorder.SlowHandler())
-	mux.Handle("GET /debug/inflight", co.recorder.InflightHandler())
 	mux.HandleFunc("GET /debug/search", co.handleDebugSearch)
-	mux.HandleFunc("GET /debug/traces", func(w http.ResponseWriter, r *http.Request) {
-		co.traceStore().HandleTraces(w, r)
-	})
-	mux.HandleFunc("GET /debug/traces/{id}", func(w http.ResponseWriter, r *http.Request) {
-		ts := co.traceStore()
-		if ts == nil {
-			http.Error(w, "trace store disabled", http.StatusNotFound)
-			return
-		}
-		ts.HandleTraceByID(w, r)
-	})
-	return co.withRequestScope(mux)
+	co.scope.Mount(mux)
+	return co.scope.Wrap(mux)
 }
 
-// ctxKey keys the request-scoped values the middleware attaches.
-type ctxKey int
-
-const ctxKeyLogger ctxKey = iota
-
-// withRequestScope mirrors the single-node server's outermost
-// middleware: request-ID assignment and echo, request-scoped logger,
-// and — for /v1/* — the coordinator-side trace root span (continuing an
-// inbound traceparent when present) plus flight-recorder tracking.
-func (co *Coordinator) withRequestScope(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := r.Header.Get("X-Request-Id")
-		if !validRequestID(id) {
-			id = obs.NewRequestID()
+// accept refuses a request that failed validation (aerr is set), and
+// any request while the coordinator drains. It reports whether the
+// request may go on to the shards.
+func (co *Coordinator) accept(w http.ResponseWriter, r *http.Request, aerr *server.APIError) bool {
+	switch {
+	case aerr != nil:
+		mRejectInvalid.Inc()
+	case co.draining.Load():
+		mRejectDraining.Inc()
+		w.Header().Set("Retry-After", "1")
+		aerr = &server.APIError{
+			Status:  http.StatusServiceUnavailable,
+			Code:    "draining",
+			Message: "coordinator is shutting down",
 		}
-		w.Header().Set("X-Request-Id", id)
-		logger := co.cfg.Logger.With("request_id", id)
-		ctx := obs.WithRequestID(r.Context(), id)
-		ctx = context.WithValue(ctx, ctxKeyLogger, logger)
-
-		if !strings.HasPrefix(r.URL.Path, "/v1/") {
-			next.ServeHTTP(w, r.WithContext(ctx))
-			return
-		}
-		if co.cfg.TraceStore != nil {
-			ctx = obs.ContextWithTraceStore(ctx, co.cfg.TraceStore)
-		}
-		if sc, err := obs.ParseTraceparent(r.Header.Get("traceparent")); err == nil {
-			ctx = obs.ContextWithRemote(ctx, sc)
-		}
-		ctx, span := obs.StartSpan(ctx, "coord "+r.URL.Path)
-		span.SetAttr("request_id", id)
-		w.Header().Set("X-Trace-Id", span.TraceID())
-
-		rec := &obs.RequestRecord{ID: id, TraceID: span.TraceID(), Endpoint: r.URL.Path, Start: time.Now()}
-		endInflight := co.recorder.Begin(id, r.URL.Path, rec.Start)
-		sw := &statusWriter{ResponseWriter: w}
-		defer func() {
-			endInflight()
-			rec.Duration = time.Since(rec.Start)
-			rec.Status = sw.status
-			if rec.Outcome == "" {
-				if sw.status == 0 || sw.status >= 400 {
-					rec.Outcome = obs.OutcomeError
-				} else {
-					rec.Outcome = obs.OutcomeOK
-				}
-			}
-			span.SetAttr("outcome", rec.Outcome)
-			span.SetAttr("status", strconv.Itoa(sw.status))
-			if rec.Outcome == obs.OutcomeError {
-				// The tail sampler keeps error traces by span status alone.
-				span.SetError("status " + strconv.Itoa(sw.status))
-			}
-			span.End()
-			co.recorder.Record(*rec)
-			if thr := co.recorder.SlowThreshold(); thr > 0 && rec.Duration >= thr {
-				logger.Warn("slow coordinator query", "endpoint", rec.Endpoint,
-					"dur", rec.Duration, "outcome", rec.Outcome, "trace_id", rec.TraceID)
-			}
-		}()
-		next.ServeHTTP(sw, r.WithContext(ctx))
-	})
-}
-
-// validRequestID accepts the same constrained ID alphabet as the
-// single-node server.
-func validRequestID(id string) bool {
-	if id == "" || len(id) > 128 {
-		return false
+	default:
+		return true
 	}
-	for i := 0; i < len(id); i++ {
-		c := id[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9',
-			c == '-', c == '_', c == '.', c == ':':
-		default:
-			return false
-		}
-	}
-	return true
+	server.Reject(w, r, aerr)
+	return false
 }
 
-type statusWriter struct {
-	http.ResponseWriter
-	status int
+// fanout calls fn for every shard concurrently and returns the results
+// and errors in shard order once every call has returned.
+func fanout[T any](shards []*shardConn, fn func(i int, sh *shardConn) (T, error)) ([]T, []error) {
+	out := make([]T, len(shards))
+	errs := make([]error, len(shards))
+	var wg sync.WaitGroup
+	for i, sh := range shards {
+		wg.Add(1)
+		go func(i int, sh *shardConn) {
+			defer wg.Done()
+			out[i], errs[i] = fn(i, sh)
+		}(i, sh)
+	}
+	wg.Wait()
+	return out, errs
 }
 
-func (w *statusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
+// call makes one plain HTTP request to a shard for the non-query routes
+// (datasets, debug search, cache invalidation) and returns the body of
+// its 200 answer; query traffic goes through the resilient per-shard
+// clients instead.
+func (co *Coordinator) call(ctx context.Context, sh *shardConn, method, path string) ([]byte, error) {
+	req, err := http.NewRequestWithContext(ctx, method, sh.base+path, nil)
+	if err != nil {
+		return nil, err
 	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(b []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
+	hc := co.cfg.Client.HTTPClient
+	if hc == nil {
+		hc = http.DefaultClient
 	}
-	return w.ResponseWriter.Write(b)
-}
-
-// reqLogger returns the request-scoped logger, or the configured one
-// outside a request.
-func (co *Coordinator) reqLogger(ctx context.Context) *slog.Logger {
-	if l, ok := ctx.Value(ctxKeyLogger).(*slog.Logger); ok {
-		return l
+	res, err := hc.Do(req)
+	if err != nil {
+		return nil, err
 	}
-	return co.cfg.Logger
+	defer res.Body.Close()
+	body, err := io.ReadAll(io.LimitReader(res.Body, 8<<20))
+	if err != nil {
+		return nil, err
+	}
+	if res.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("shard %s returned %d", sh.base, res.StatusCode)
+	}
+	return body, nil
 }

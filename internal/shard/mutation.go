@@ -5,10 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
-	"sync"
 
 	"ktg/internal/client"
 	"ktg/internal/obs"
@@ -49,15 +47,10 @@ type MutationResponse struct {
 // a fleet-wide failure answers 503.
 func (co *Coordinator) handleEdges(w http.ResponseWriter, r *http.Request) {
 	mMutationRequests.Inc()
-	logger := co.reqLogger(r.Context())
+	logger := co.scope.Logger(r.Context())
 
 	req, aerr := server.DecodeMutation(r)
-	if aerr != nil {
-		mRejectInvalid.Inc()
-		server.WriteAPIError(w, aerr)
-		return
-	}
-	if co.rejectDraining(w) {
+	if !co.accept(w, r, aerr) {
 		return
 	}
 
@@ -65,7 +58,7 @@ func (co *Coordinator) handleEdges(w http.ResponseWriter, r *http.Request) {
 	span.SetAttr("dataset", req.Dataset)
 	span.SetAttr("edge_ops", strconv.Itoa(len(req.Edges)))
 
-	ctx, cancel := co.clampCtx(r.Context(), req.TimeoutMillis)
+	ctx, cancel := context.WithTimeout(r.Context(), server.Timeout(req.TimeoutMillis, co.cfg.DefaultTimeout, co.cfg.MaxTimeout))
 	defer cancel()
 
 	creq := &client.MutationRequest{
@@ -78,17 +71,9 @@ func (co *Coordinator) handleEdges(w http.ResponseWriter, r *http.Request) {
 	}
 
 	total := len(co.shards)
-	results := make([]*client.MutationResponse, total)
-	errs := make([]error, total)
-	var wg sync.WaitGroup
-	for i, sh := range co.shards {
-		wg.Add(1)
-		go func(i int, sh *shardConn) {
-			defer wg.Done()
-			results[i], errs[i] = sh.c.MutateEdges(ctx, creq)
-		}(i, sh)
-	}
-	wg.Wait()
+	results, errs := fanout(co.shards, func(_ int, sh *shardConn) (*client.MutationResponse, error) {
+		return sh.c.MutateEdges(ctx, creq)
+	})
 
 	resp := &MutationResponse{
 		Dataset:     req.Dataset,
@@ -132,12 +117,12 @@ func (co *Coordinator) handleEdges(w http.ResponseWriter, r *http.Request) {
 		// edge, immutable dataset, unknown dataset) are fleet-uniform, so
 		// propagate the first one as-is instead of masking it as a 503.
 		if firstErr != nil && firstErr.Status < 500 && firstErr.Status != http.StatusTooManyRequests {
-			server.WriteAPIError(w, &server.APIError{
+			server.Reject(w, r, &server.APIError{
 				Status: firstErr.Status, Code: firstErr.Code, Message: firstErr.Message,
 			})
 			return
 		}
-		server.WriteAPIError(w, &server.APIError{
+		server.Reject(w, r, &server.APIError{
 			Status:  http.StatusServiceUnavailable,
 			Code:    "all_shards_failed",
 			Message: fmt.Sprintf("no shard applied the edge batch (last error: %v)", lastErr),
@@ -145,7 +130,7 @@ func (co *Coordinator) handleEdges(w http.ResponseWriter, r *http.Request) {
 	case resp.ShardsOK < total:
 		mMutationIncomplete.Inc()
 		span.Event("mutation.incomplete", int64(total-resp.ShardsOK))
-		server.WriteAPIError(w, &server.APIError{
+		server.Reject(w, r, &server.APIError{
 			Status: http.StatusBadGateway,
 			Code:   "mutation_incomplete",
 			Message: fmt.Sprintf("edge batch landed on %d/%d shards; retry the batch to converge (last error: %v)",
@@ -160,16 +145,8 @@ func (co *Coordinator) handleEdges(w http.ResponseWriter, r *http.Request) {
 // /v1/datasets surface (mutable datasets only; nil when the shard is
 // unreachable or serves no mutable dataset).
 func (co *Coordinator) shardEpochs(ctx context.Context, sh *shardConn) map[string]uint64 {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, sh.base+"/v1/datasets", nil)
+	body, err := co.call(ctx, sh, http.MethodGet, "/v1/datasets")
 	if err != nil {
-		return nil
-	}
-	res, err := co.httpc().Do(req)
-	if err != nil {
-		return nil
-	}
-	defer res.Body.Close()
-	if res.StatusCode != http.StatusOK {
 		return nil
 	}
 	var wire struct {
@@ -178,7 +155,7 @@ func (co *Coordinator) shardEpochs(ctx context.Context, sh *shardConn) map[strin
 			Epoch uint64 `json:"epoch"`
 		} `json:"datasets"`
 	}
-	if err := json.NewDecoder(io.LimitReader(res.Body, 8<<20)).Decode(&wire); err != nil {
+	if err := json.Unmarshal(body, &wire); err != nil {
 		return nil
 	}
 	var out map[string]uint64

@@ -5,10 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
 	"ktg"
@@ -53,72 +51,35 @@ func (co *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 	mQueryRequests.Inc()
 	start := time.Now()
 	defer func() { mQueryLatency.Observe(time.Since(start).Nanoseconds()) }()
-
-	req, aerr := server.DecodeRequest(r, false, co.limits())
-	if aerr != nil {
-		mRejectInvalid.Inc()
-		server.WriteAPIError(w, aerr)
-		return
-	}
-	if co.rejectDraining(w) {
-		return
-	}
-	if req.Algorithm == "greedy" || req.Algorithm == "brute" {
-		// These answers do not decompose into mergeable frontier slices;
-		// every shard holds the full dataset, so one shard answers whole.
-		co.forward(w, r, req, false)
-		return
-	}
-	co.scatter(w, r, req)
+	co.serve(w, r, false)
 }
 
 func (co *Coordinator) handleDiverse(w http.ResponseWriter, r *http.Request) {
 	mDiverseRequests.Inc()
-	req, aerr := server.DecodeRequest(r, true, co.limits())
-	if aerr != nil {
-		mRejectInvalid.Inc()
-		server.WriteAPIError(w, aerr)
+	co.serve(w, r, true)
+}
+
+// serve is the coordinator's search pipeline: decode and validate with
+// the server's own limits, refuse new work while draining, label the
+// flight record, then scatter the query over the fleet or forward it to
+// one shard.
+func (co *Coordinator) serve(w http.ResponseWriter, r *http.Request, diverse bool) {
+	req, aerr := server.DecodeRequest(r, diverse, co.lim)
+	if !co.accept(w, r, aerr) {
 		return
 	}
-	if co.rejectDraining(w) {
+	alg := req.Algorithm
+	if alg == "" {
+		alg = "vkc-deg"
+	}
+	co.scope.Annotate(r.Context(), req.Dataset, alg)
+	if diverse || req.Algorithm == "greedy" || req.Algorithm == "brute" {
+		// These answers do not decompose into mergeable frontier slices;
+		// every shard holds the full dataset, so one shard answers whole.
+		co.forward(w, r, req, diverse)
 		return
 	}
-	co.forward(w, r, req, true)
-}
-
-func (co *Coordinator) limits() server.RequestLimits {
-	return server.RequestLimits{
-		MaxKeywords:  co.cfg.MaxKeywords,
-		MaxGroupSize: co.cfg.MaxGroupSize,
-		MaxTopN:      co.cfg.MaxTopN,
-	}
-}
-
-func (co *Coordinator) rejectDraining(w http.ResponseWriter) bool {
-	if !co.draining.Load() {
-		return false
-	}
-	mRejectDraining.Inc()
-	w.Header().Set("Retry-After", "1")
-	server.WriteAPIError(w, &server.APIError{
-		Status:  http.StatusServiceUnavailable,
-		Code:    "draining",
-		Message: "coordinator is shutting down",
-	})
-	return true
-}
-
-// clampCtx applies the request deadline exactly like a single-node
-// server: timeout_ms when given, else the default, capped at the max.
-func (co *Coordinator) clampCtx(ctx context.Context, timeoutMillis int64) (context.Context, context.CancelFunc) {
-	timeout := co.cfg.DefaultTimeout
-	if timeoutMillis > 0 {
-		timeout = time.Duration(timeoutMillis) * time.Millisecond
-	}
-	if timeout > co.cfg.MaxTimeout {
-		timeout = co.cfg.MaxTimeout
-	}
-	return context.WithTimeout(ctx, timeout)
+	co.scatter(w, r, req, alg)
 }
 
 func toClientRequest(req *server.QueryRequest) *client.Request {
@@ -141,30 +102,22 @@ func toClientRequest(req *server.QueryRequest) *client.Request {
 // (slice i of M to shard i), gathers the partial answers, and merges
 // them. Shard failures degrade the answer to an explicitly-partial one;
 // only a fleet-wide failure turns into an error.
-func (co *Coordinator) scatter(w http.ResponseWriter, r *http.Request, req *server.QueryRequest) {
+func (co *Coordinator) scatter(w http.ResponseWriter, r *http.Request, req *server.QueryRequest, alg string) {
 	mScatter.Inc()
-	logger := co.reqLogger(r.Context())
+	logger := co.scope.Logger(r.Context())
 	span := obs.SpanFromContext(r.Context())
 	span.SetAttr("dataset", req.Dataset)
 	span.SetAttr("shards", strconv.Itoa(len(co.shards)))
 
-	ctx, cancel := co.clampCtx(r.Context(), req.TimeoutMillis)
+	ctx, cancel := context.WithTimeout(r.Context(), server.Timeout(req.TimeoutMillis, co.cfg.DefaultTimeout, co.cfg.MaxTimeout))
 	defer cancel()
 
 	total := len(co.shards)
-	responses := make([]*client.PartialResponse, total)
-	errs := make([]error, total)
-	var wg sync.WaitGroup
-	for i, sh := range co.shards {
-		wg.Add(1)
-		go func(i int, sh *shardConn) {
-			defer wg.Done()
-			creq := toClientRequest(req)
-			creq.SliceIndex, creq.SliceCount = i, total
-			responses[i], errs[i] = sh.c.QueryPartial(ctx, creq)
-		}(i, sh)
-	}
-	wg.Wait()
+	responses, errs := fanout(co.shards, func(i int, sh *shardConn) (*client.PartialResponse, error) {
+		creq := toClientRequest(req)
+		creq.SliceIndex, creq.SliceCount = i, total
+		return sh.c.QueryPartial(ctx, creq)
+	})
 
 	var (
 		parts     []*ktg.PartialResult
@@ -202,7 +155,7 @@ func (co *Coordinator) scatter(w http.ResponseWriter, r *http.Request, req *serv
 		}
 	}
 	if len(parts) == 0 {
-		server.WriteAPIError(w, &server.APIError{
+		server.Reject(w, r, &server.APIError{
 			Status:  http.StatusServiceUnavailable,
 			Code:    "all_shards_failed",
 			Message: fmt.Sprintf("no shard answered (%d/%d failed; last error: %v)", failed, total, lastErr),
@@ -216,7 +169,7 @@ func (co *Coordinator) scatter(w http.ResponseWriter, r *http.Request, req *serv
 		mEpochSkew.Inc()
 		span.Event("merge.epoch_skew", 0)
 		logger.Warn("shards answered from different epochs; refusing to merge")
-		server.WriteAPIError(w, &server.APIError{
+		server.Reject(w, r, &server.APIError{
 			Status:  http.StatusBadGateway,
 			Code:    "shard_epoch_skew",
 			Message: "shards answered from different dataset epochs; retry after mutations settle",
@@ -230,7 +183,7 @@ func (co *Coordinator) scatter(w http.ResponseWriter, r *http.Request, req *serv
 		// Shards disagreed on the partition or frontier — they are not
 		// serving the same dataset. Refusing is the only safe answer.
 		logger.Error("shard answers are inconsistent; refusing to merge", "err", err)
-		server.WriteAPIError(w, &server.APIError{
+		server.Reject(w, r, &server.APIError{
 			Status:  http.StatusBadGateway,
 			Code:    "shard_inconsistent",
 			Message: fmt.Sprintf("shard answers cannot be merged: %v", err),
@@ -240,16 +193,13 @@ func (co *Coordinator) scatter(w http.ResponseWriter, r *http.Request, req *serv
 
 	resp := &QueryResponse{
 		Dataset:      responses[firstOK(errs)].Dataset,
-		Algorithm:    req.Algorithm,
+		Algorithm:    alg,
 		Groups:       make([]server.GroupJSON, 0, len(merged.Groups)),
 		Stats:        merged.Stats,
 		Epoch:        epoch,
 		Cache:        "miss",
 		ShardsTotal:  total,
 		ShardsFailed: failed,
-	}
-	if resp.Algorithm == "" {
-		resp.Algorithm = "vkc-deg"
 	}
 	if req.Explain && len(explains) == len(parts) && len(explains) > 0 {
 		// Sum the per-shard counters and depth rows into one plan; since
@@ -275,11 +225,10 @@ func (co *Coordinator) scatter(w http.ResponseWriter, r *http.Request, req *serv
 		default:
 			resp.PartialReason = "incomplete"
 		}
-		mPartialAnswers.Inc()
 		span.Event("merge.partial", int64(failed))
 	}
 	span.SetAttr("shards_failed", strconv.Itoa(failed))
-	server.WriteJSON(w, http.StatusOK, resp)
+	answer(w, r, resp)
 }
 
 func firstOK(errs []error) int {
@@ -296,8 +245,8 @@ func firstOK(errs []error) int {
 // immediately; transport/5xx failures try the next shard.
 func (co *Coordinator) forward(w http.ResponseWriter, r *http.Request, req *server.QueryRequest, diverse bool) {
 	mForward.Inc()
-	logger := co.reqLogger(r.Context())
-	ctx, cancel := co.clampCtx(r.Context(), req.TimeoutMillis)
+	logger := co.scope.Logger(r.Context())
+	ctx, cancel := context.WithTimeout(r.Context(), server.Timeout(req.TimeoutMillis, co.cfg.DefaultTimeout, co.cfg.MaxTimeout))
 	defer cancel()
 
 	total := len(co.shards)
@@ -317,12 +266,12 @@ func (co *Coordinator) forward(w http.ResponseWriter, r *http.Request, req *serv
 			resp, err = sh.c.Query(ctx, creq)
 		}
 		if err == nil {
-			co.writeForwarded(w, resp, total, failed)
+			answer(w, r, forwarded(resp, total, failed))
 			return
 		}
 		var apiErr *client.APIError
 		if errors.As(err, &apiErr) && apiErr.Status < 500 && apiErr.Status != http.StatusTooManyRequests {
-			server.WriteAPIError(w, &server.APIError{
+			server.Reject(w, r, &server.APIError{
 				Status: apiErr.Status, Code: apiErr.Code, Message: apiErr.Message,
 			})
 			return
@@ -335,16 +284,16 @@ func (co *Coordinator) forward(w http.ResponseWriter, r *http.Request, req *serv
 			break
 		}
 	}
-	server.WriteAPIError(w, &server.APIError{
+	server.Reject(w, r, &server.APIError{
 		Status:  http.StatusServiceUnavailable,
 		Code:    "all_shards_failed",
 		Message: fmt.Sprintf("no shard answered the forwarded query (last error: %v)", lastErr),
 	})
 }
 
-// writeForwarded re-encodes a shard's whole answer under the
-// coordinator's response shape.
-func (co *Coordinator) writeForwarded(w http.ResponseWriter, resp *client.Response, total, failed int) {
+// forwarded re-shapes a shard's whole answer as the coordinator's
+// response.
+func forwarded(resp *client.Response, total, failed int) *QueryResponse {
 	out := &QueryResponse{
 		Dataset:        resp.Dataset,
 		Algorithm:      resp.Algorithm,
@@ -370,10 +319,17 @@ func (co *Coordinator) writeForwarded(w http.ResponseWriter, resp *client.Respon
 		}
 		out.Groups = append(out.Groups, server.GroupJSON{Members: members, Covered: g.Covered, QKC: g.QKC})
 	}
-	if out.Partial {
+	return out
+}
+
+// answer records a merged or forwarded answer's outcome on the flight
+// record and encodes it.
+func answer(w http.ResponseWriter, r *http.Request, resp *QueryResponse) {
+	server.RequestRecord(r.Context()).Outcome = server.Outcome(resp.Degraded, resp.Partial)
+	if resp.Partial {
 		mPartialAnswers.Inc()
 	}
-	server.WriteJSON(w, http.StatusOK, out)
+	server.WriteJSON(w, http.StatusOK, resp)
 }
 
 // shardStatus is one row of GET /v1/shards.
@@ -389,24 +345,17 @@ type shardStatus struct {
 }
 
 func (co *Coordinator) handleShards(w http.ResponseWriter, r *http.Request) {
-	out := make([]shardStatus, len(co.shards))
-	var wg sync.WaitGroup
-	for i, sh := range co.shards {
-		wg.Add(1)
-		go func(i int, sh *shardConn) {
-			defer wg.Done()
-			ctx, cancel := context.WithTimeout(r.Context(), 2*time.Second)
-			defer cancel()
-			out[i] = shardStatus{
-				URL:     sh.base,
-				Healthy: sh.c.Health(ctx) == nil,
-				Breaker: breakerName(sh.c.BreakerState()),
-				Epochs:  co.shardEpochs(ctx, sh),
-				Stats:   sh.c.Stats(),
-			}
-		}(i, sh)
-	}
-	wg.Wait()
+	out, _ := fanout(co.shards, func(_ int, sh *shardConn) (shardStatus, error) {
+		ctx, cancel := context.WithTimeout(r.Context(), 2*time.Second)
+		defer cancel()
+		return shardStatus{
+			URL:     sh.base,
+			Healthy: sh.c.Health(ctx) == nil,
+			Breaker: breakerName(sh.c.BreakerState()),
+			Epochs:  co.shardEpochs(ctx, sh),
+			Stats:   sh.c.Stats(),
+		}, nil
+	})
 	server.WriteJSON(w, http.StatusOK, map[string]any{"shards": out})
 }
 
@@ -428,20 +377,9 @@ func (co *Coordinator) handleDatasets(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	var lastErr error
 	for _, sh := range co.shards {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, sh.base+"/v1/datasets", nil)
+		body, err := co.call(ctx, sh, http.MethodGet, "/v1/datasets")
 		if err != nil {
 			lastErr = err
-			continue
-		}
-		res, err := co.httpc().Do(req)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		body, err := io.ReadAll(io.LimitReader(res.Body, 8<<20))
-		res.Body.Close()
-		if err != nil || res.StatusCode != http.StatusOK {
-			lastErr = fmt.Errorf("shard %s returned %d", sh.base, res.StatusCode)
 			continue
 		}
 		w.Header().Set("Content-Type", "application/json")
@@ -449,7 +387,7 @@ func (co *Coordinator) handleDatasets(w http.ResponseWriter, r *http.Request) {
 		_, _ = w.Write(body)
 		return
 	}
-	server.WriteAPIError(w, &server.APIError{
+	server.Reject(w, r, &server.APIError{
 		Status:  http.StatusServiceUnavailable,
 		Code:    "all_shards_failed",
 		Message: fmt.Sprintf("no shard answered /v1/datasets (last error: %v)", lastErr),
@@ -463,58 +401,30 @@ func (co *Coordinator) handleDatasets(w http.ResponseWriter, r *http.Request) {
 func (co *Coordinator) handleDebugSearch(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), 5*time.Second)
 	defer cancel()
-	type shardRows struct {
-		rows []map[string]any
-		err  error
-	}
-	results := make([]shardRows, len(co.shards))
-	var wg sync.WaitGroup
-	for i, sh := range co.shards {
-		wg.Add(1)
-		go func(i int, sh *shardConn) {
-			defer wg.Done()
-			req, err := http.NewRequestWithContext(ctx, http.MethodGet, sh.base+"/debug/search", nil)
-			if err != nil {
-				results[i].err = err
-				return
-			}
-			res, err := co.httpc().Do(req)
-			if err != nil {
-				results[i].err = err
-				return
-			}
-			body, err := io.ReadAll(io.LimitReader(res.Body, 8<<20))
-			res.Body.Close()
-			if err != nil {
-				results[i].err = err
-				return
-			}
-			if res.StatusCode != http.StatusOK {
-				results[i].err = fmt.Errorf("shard returned %d", res.StatusCode)
-				return
-			}
-			var wire struct {
-				Searches []map[string]any `json:"searches"`
-			}
-			if err := json.Unmarshal(body, &wire); err != nil {
-				results[i].err = fmt.Errorf("malformed shard table: %w", err)
-				return
-			}
-			results[i].rows = wire.Searches
-		}(i, sh)
-	}
-	wg.Wait()
+	tables, errs := fanout(co.shards, func(_ int, sh *shardConn) ([]map[string]any, error) {
+		body, err := co.call(ctx, sh, http.MethodGet, "/debug/search")
+		if err != nil {
+			return nil, err
+		}
+		var wire struct {
+			Searches []map[string]any `json:"searches"`
+		}
+		if err := json.Unmarshal(body, &wire); err != nil {
+			return nil, fmt.Errorf("malformed shard table: %w", err)
+		}
+		return wire.Searches, nil
+	})
 
 	searches := make([]map[string]any, 0)
 	var shardErrs []map[string]any
-	for i, res := range results {
-		if res.err != nil {
+	for i, rows := range tables {
+		if errs[i] != nil {
 			shardErrs = append(shardErrs, map[string]any{
-				"shard": co.shards[i].base, "error": res.err.Error(),
+				"shard": co.shards[i].base, "error": errs[i].Error(),
 			})
 			continue
 		}
-		for _, row := range res.rows {
+		for _, row := range rows {
 			row["shard"] = co.shards[i].base
 			searches = append(searches, row)
 		}
@@ -530,43 +440,17 @@ func (co *Coordinator) handleDebugSearch(w http.ResponseWriter, r *http.Request)
 func (co *Coordinator) handleInvalidate(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), 10*time.Second)
 	defer cancel()
+	_, errs := fanout(co.shards, func(_ int, sh *shardConn) ([]byte, error) {
+		return co.call(ctx, sh, http.MethodPost, "/v1/cache/invalidate")
+	})
 	okCount := 0
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	for _, sh := range co.shards {
-		wg.Add(1)
-		go func(sh *shardConn) {
-			defer wg.Done()
-			req, err := http.NewRequestWithContext(ctx, http.MethodPost, sh.base+"/v1/cache/invalidate", nil)
-			if err != nil {
-				return
-			}
-			res, err := co.httpc().Do(req)
-			if err != nil {
-				return
-			}
-			_, _ = io.Copy(io.Discard, io.LimitReader(res.Body, 1<<16))
-			res.Body.Close()
-			if res.StatusCode == http.StatusOK {
-				mu.Lock()
-				okCount++
-				mu.Unlock()
-			}
-		}(sh)
+	for _, err := range errs {
+		if err == nil {
+			okCount++
+		}
 	}
-	wg.Wait()
 	server.WriteJSON(w, http.StatusOK, map[string]any{
 		"shards_total": len(co.shards),
 		"shards_ok":    okCount,
 	})
-}
-
-// httpc is the plain HTTP client for non-query forwarding (datasets,
-// cache invalidation); query traffic goes through the resilient
-// per-shard clients instead.
-func (co *Coordinator) httpc() *http.Client {
-	if co.cfg.Client.HTTPClient != nil {
-		return co.cfg.Client.HTTPClient
-	}
-	return http.DefaultClient
 }

@@ -83,7 +83,7 @@ type Log struct {
 	dir string
 
 	mu       sync.Mutex
-	err      error    // sticky poison; wraps ErrLogFailed
+	err      error // sticky poison; wraps ErrLogFailed
 	man      manifest
 	segments []uint64 // retained segment indexes, ascending
 	f        *os.File // current append segment (nil until first append)

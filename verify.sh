@@ -9,6 +9,7 @@ cd "$(dirname "$0")"
 
 go build ./...
 go vet ./...
+test -z "$(gofmt -l .)"
 # staticcheck is best-effort: run it when installed, complain loudly (but
 # do not fail) when it is not, so CI images that carry it get the extra
 # signal without making it a local prerequisite.
