@@ -31,6 +31,13 @@ func (t *Traverser) Walk(g Topology, src Vertex, maxHops int, visit func(v Verte
 		return
 	}
 	t.cur++
+	if t.cur == 0 {
+		// The stamp counter wrapped: stale stamps would alias the new
+		// walk, and unstamped vertices would read as visited. Clear and
+		// restart (once every 2^32 walks).
+		clear(t.stamp)
+		t.cur = 1
+	}
 	t.stamp[src] = t.cur
 	t.dist[src] = 0
 	t.queue = append(t.queue[:0], src)
@@ -81,25 +88,6 @@ func (t *Traverser) Within(g Topology, u, v Vertex, k int) bool {
 		return false
 	}
 	return t.Distance(g, u, v, k) >= 0
-}
-
-// Levels returns the vertices at each exact hop distance 1..maxHops from
-// src, as levels[d-1]. Levels beyond the last reachable vertex are empty
-// slices. maxHops < 0 means unbounded, in which case the result has one
-// entry per non-empty level.
-func (t *Traverser) Levels(g Topology, src Vertex, maxHops int) [][]Vertex {
-	var levels [][]Vertex
-	if maxHops >= 0 {
-		levels = make([][]Vertex, maxHops)
-	}
-	t.Walk(g, src, maxHops, func(v Vertex, d int) bool {
-		for len(levels) < d {
-			levels = append(levels, nil)
-		}
-		levels[d-1] = append(levels[d-1], v)
-		return true
-	})
-	return levels
 }
 
 // Eccentricity returns the largest hop distance from src to any reachable
@@ -156,35 +144,4 @@ func Components(g Topology) (labels []int32, count int) {
 		})
 	}
 	return labels, count
-}
-
-// HopHistogram estimates the distribution of pairwise hop distances by
-// running full BFS from up to sampleSize uniformly spaced source vertices.
-// hist[d] counts sampled pairs at distance d; d = 0 is unused. The
-// histogram drives index parameter selection (the NL h and NLRNL c values
-// peak where the histogram peaks).
-func HopHistogram(g Topology, sampleSize int) []int64 {
-	n := g.NumVertices()
-	if n == 0 || sampleSize <= 0 {
-		return nil
-	}
-	if sampleSize > n {
-		sampleSize = n
-	}
-	step := n / sampleSize
-	if step == 0 {
-		step = 1
-	}
-	tr := NewTraverser(n)
-	hist := make([]int64, 1)
-	for v := 0; v < n; v += step {
-		tr.Walk(g, Vertex(v), -1, func(_ Vertex, d int) bool {
-			for len(hist) <= d {
-				hist = append(hist, 0)
-			}
-			hist[d]++
-			return true
-		})
-	}
-	return hist
 }

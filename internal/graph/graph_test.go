@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -157,16 +158,25 @@ func TestTraverserUnreachable(t *testing.T) {
 
 func TestLevels(t *testing.T) {
 	g := paperGraph()
-	tr := NewTraverser(g.NumVertices())
-	levels := tr.Levels(g, 3, 2)
+	var levels [][]Vertex
+	NewMultiBFS(g.NumVertices()).Run(g, []Vertex{3}, 2, func(d int, verts []Vertex, masks []uint64) {
+		for _, m := range masks {
+			if m != 1 {
+				t.Fatalf("level %d: mask %b, want 1", d, m)
+			}
+		}
+		levels = append(levels, append([]Vertex(nil), verts...))
+	})
+	if len(levels) != 2 {
+		t.Fatalf("got %d levels, want 2 (maxHops)", len(levels))
+	}
 	if got := levels[0]; !reflect.DeepEqual(got, []Vertex{0, 2, 4, 9}) {
 		t.Errorf("1-hop of u3 = %v, want [0 2 4 9]", got)
 	}
-	l2 := append([]Vertex(nil), levels[1]...)
-	sortVertices(l2)
-	if !reflect.DeepEqual(l2, []Vertex{1, 6, 8, 10, 11}) {
-		t.Errorf("2-hop of u3 = %v, want [1 6 8 10 11]", l2)
+	if got := levels[1]; !reflect.DeepEqual(got, []Vertex{1, 6, 8, 10, 11}) {
+		t.Errorf("2-hop of u3 = %v, want [1 6 8 10 11]", got)
 	}
+	tr := NewTraverser(g.NumVertices())
 	if d := tr.Distance(g, 3, 5, -1); d != 3 {
 		t.Errorf("dist(u3,u5) = %d, want 3", d)
 	}
@@ -192,10 +202,26 @@ func TestTraverserReuseIsClean(t *testing.T) {
 	// Two walks with the same Traverser must not leak state.
 	g := lineGraph(8)
 	tr := NewTraverser(8)
-	first := tr.Levels(g, 0, 3)
-	second := tr.Levels(g, 0, 3)
+	first := tr.AllDistances(g, 0, nil)
+	second := tr.AllDistances(g, 0, nil)
 	if !reflect.DeepEqual(first, second) {
 		t.Fatalf("repeat walk differs: %v vs %v", first, second)
+	}
+}
+
+func TestTraverserStampWrap(t *testing.T) {
+	// The walk that wraps the stamp counter, and the ones after it, must
+	// see a clean visited set.
+	g := lineGraph(4)
+	tr := NewTraverser(4)
+	tr.cur = math.MaxUint32
+	for walk := 0; walk < 3; walk++ {
+		if got := tr.AllDistances(g, 0, nil); !reflect.DeepEqual(got, []int32{0, 1, 2, 3}) {
+			t.Fatalf("walk %d (stamp %d): distances %v, want [0 1 2 3]", walk, tr.cur, got)
+		}
+	}
+	if !tr.Within(g, 0, 1, 1) {
+		t.Fatal("adjacent pair not within 1 after the stamp wrapped")
 	}
 }
 
@@ -388,13 +414,5 @@ func TestQuickMutableMatchesRebuild(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func sortVertices(vs []Vertex) {
-	for i := 1; i < len(vs); i++ {
-		for j := i; j > 0 && vs[j-1] > vs[j]; j-- {
-			vs[j-1], vs[j] = vs[j], vs[j-1]
-		}
 	}
 }

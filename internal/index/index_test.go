@@ -265,7 +265,8 @@ func TestNLRNLRemoveBridgeSplitsComponents(t *testing.T) {
 func TestQuickNLRNLUpdatesMatchRebuild(t *testing.T) {
 	// After a random sequence of edge insertions and deletions the
 	// incrementally-maintained index must behave exactly like the BFS
-	// ground truth on the final graph.
+	// ground truth on the final graph, and Save the same bytes as a
+	// fresh build of it.
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		g := randomTopology(r)
@@ -286,7 +287,16 @@ func TestQuickNLRNLUpdatesMatchRebuild(t *testing.T) {
 				m.RemoveEdge(u, v)
 			}
 		}
-		return oracleAgreesWithBFS(m.Freeze(), x, 6)
+		final := m.Freeze()
+		fresh, err := BuildNLRNL(final)
+		if err != nil {
+			return false
+		}
+		var got, want bytes.Buffer
+		if x.Save(&got) != nil || fresh.Save(&want) != nil || !bytes.Equal(got.Bytes(), want.Bytes()) {
+			return false
+		}
+		return oracleAgreesWithBFS(final, x, 6)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

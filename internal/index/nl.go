@@ -80,13 +80,20 @@ func BuildNL(g graph.Topology, opts NLOptions) (*NL, error) {
 		levels: make([][][]graph.Vertex, n),
 	}
 	nl.initScratch(n)
-	tr := graph.NewTraverser(n)
-	for v := 0; v < n; v++ {
-		levels := tr.Levels(g, graph.Vertex(v), h)
-		for d := range levels {
-			sortVertices(levels[d])
+	p := newLevelPass(n)
+	srcs := make([]graph.Vertex, 0, graph.MaxSources)
+	for lo := 0; lo < n; lo += graph.MaxSources {
+		srcs = srcs[:0]
+		for v := lo; v < n && v < lo+graph.MaxSources; v++ {
+			srcs = append(srcs, graph.Vertex(v))
 		}
-		nl.levels[v] = levels
+		p.count(g, srcs, h, false)
+		for i, v := range srcs {
+			levels := make([][]graph.Vertex, h)
+			p.alloc(i, func(d int, l []graph.Vertex) { levels[d-1] = l })
+			nl.levels[v] = levels
+		}
+		p.fill(g, srcs, h, false)
 	}
 	elapsed := time.Since(start)
 	obs.Or(opts.Logger).Debug("ktg: NL index built",
@@ -163,7 +170,7 @@ func (nl *NL) expandSearch(u, v graph.Vertex, k int) bool {
 			s.stamp[w] = gen
 		}
 	}
-	// Levels always materializes exactly h level slices per vertex.
+	// The build materializes exactly h level slices per vertex.
 	s.frontier = append(s.frontier, lists[nl.h-1]...)
 	for d := nl.h + 1; d <= k; d++ {
 		s.next = s.next[:0]
@@ -218,8 +225,4 @@ func (nl *NL) Entries() int64 {
 func containsSorted(vs []graph.Vertex, v graph.Vertex) bool {
 	i := sort.Search(len(vs), func(i int) bool { return vs[i] >= v })
 	return i < len(vs) && vs[i] == v
-}
-
-func sortVertices(vs []graph.Vertex) {
-	sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
 }

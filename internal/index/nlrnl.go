@@ -65,11 +65,11 @@ func BuildNLRNLWith(g graph.Topology, opts NLRNLOptions) (*NLRNL, error) {
 		rev: make([][][]graph.Vertex, n),
 	}
 	x.comp, _ = graph.Components(x.g)
-	tr := graph.NewTraverser(n)
-	dist := make([]int32, n)
-	for a := 0; a < n; a++ {
-		x.buildVertex(graph.Vertex(a), tr, dist)
+	all := make([]graph.Vertex, n)
+	for a := range all {
+		all[a] = graph.Vertex(a)
 	}
+	x.rebuild(newLevelPass(n), all)
 	elapsed := time.Since(start)
 	obs.Or(opts.Logger).Debug("ktg: NLRNL index built",
 		"vertices", n, "entries", x.Entries(), "dur", elapsed)
@@ -78,60 +78,45 @@ func BuildNLRNLWith(g graph.Topology, opts NLRNLOptions) (*NLRNL, error) {
 	return x, nil
 }
 
-// buildVertex recomputes vertex a's c value and lists from a fresh BFS.
-func (x *NLRNL) buildVertex(a graph.Vertex, tr *graph.Traverser, dist []int32) {
-	n := len(x.c)
-	tr.AllDistances(x.g, a, dist)
-
-	// Count stored (id > a) neighbors per level and find the
-	// eccentricity over stored ids.
-	var counts []int64
-	for b := int(a) + 1; b < n; b++ {
-		d := dist[b]
-		if d <= 0 {
-			continue
-		}
-		for int(d) >= len(counts) {
-			counts = append(counts, 0)
-		}
-		counts[d]++
-	}
-	// c is the most populated level (smallest wins ties); with no
-	// stored neighbors at all, c defaults to 1 and both lists are empty.
-	c := 1
-	var best int64 = -1
-	for d := 1; d < len(counts); d++ {
-		if counts[d] > best {
-			c, best = d, counts[d]
-		}
-	}
-	x.c[a] = int32(c)
-
-	fwd := make([][]graph.Vertex, c-1)
-	var rev [][]graph.Vertex
-	for b := int(a) + 1; b < n; b++ {
-		d := int(dist[b])
-		switch {
-		case d <= 0 || d == c:
-			// unreachable, self, or the implicit level
-		case d < c:
-			fwd[d-1] = append(fwd[d-1], graph.Vertex(b))
-		default:
-			j := d - c - 1
-			for j >= len(rev) {
-				rev = append(rev, nil)
+// rebuild recomputes the c values and lists of vertices (ascending ids),
+// graph.MaxSources of them per kernel pass. Every rebuilt vertex gets
+// freshly allocated lists; none is written in place.
+func (x *NLRNL) rebuild(p *levelPass, vertices []graph.Vertex) {
+	for len(vertices) > 0 {
+		srcs := vertices[:min(graph.MaxSources, len(vertices))]
+		vertices = vertices[len(srcs):]
+		p.count(x.g, srcs, -1, true)
+		for i, a := range srcs {
+			// c is the most populated level (smallest wins ties); with
+			// no stored neighbors at all, c defaults to 1 and both lists
+			// are empty.
+			c, ecc, best := 1, 0, int32(-1)
+			for d, row := range p.counts {
+				if row[i] > best {
+					c, best = d+1, row[i]
+				}
+				if row[i] > 0 {
+					ecc = d + 1
+				}
 			}
-			rev[j] = append(rev[j], graph.Vertex(b))
+			x.c[a] = int32(c)
+			p.drop[c] |= 1 << i
+			fwd := make([][]graph.Vertex, c-1)
+			var rev [][]graph.Vertex
+			if ecc > c {
+				rev = make([][]graph.Vertex, ecc-c)
+			}
+			p.alloc(i, func(d int, l []graph.Vertex) {
+				if d < c {
+					fwd[d-1] = l
+				} else {
+					rev[d-c-1] = l
+				}
+			})
+			x.fwd[a], x.rev[a] = fwd, rev
 		}
+		p.fill(x.g, srcs, -1, true)
 	}
-	for _, l := range fwd {
-		sortVertices(l)
-	}
-	for _, l := range rev {
-		sortVertices(l)
-	}
-	x.fwd[a] = fwd
-	x.rev[a] = rev
 }
 
 // Name returns "NLRNL".
@@ -247,10 +232,8 @@ func (x *NLRNL) Entries() int64 {
 }
 
 // InsertEdge adds the undirected edge {u, v} to the indexed graph and
-// repairs the index. Only vertices whose distance vector can have changed
-// (those with |dist(a,u) - dist(a,v)| >= 2 before the insertion, with
-// unreachable treated as infinity) are rebuilt. It reports whether the
-// edge was new.
+// repairs the index. Only the vertices EdgeAffected names are rebuilt.
+// It reports whether the edge was new.
 func (x *NLRNL) InsertEdge(u, v graph.Vertex) bool {
 	ok, _ := x.InsertEdgeAffected(u, v)
 	return ok
@@ -265,44 +248,11 @@ func (x *NLRNL) InsertEdgeAffected(u, v graph.Vertex) (bool, []graph.Vertex) {
 	if u == v || int(u) >= len(x.c) || int(v) >= len(x.c) || x.g.HasEdge(u, v) {
 		return false, nil
 	}
-	n := len(x.c)
-	tr := graph.NewTraverser(n)
-	du := tr.AllDistances(x.g, u, nil)
-	dv := tr.AllDistances(x.g, v, nil)
-	x.g.AddEdge(u, v)
-
-	var affected []graph.Vertex
-	dist := make([]int32, n)
-	for a := 0; a < n; a++ {
-		if insertAffected(du[a], dv[a]) {
-			x.buildVertex(graph.Vertex(a), tr, dist)
-			affected = append(affected, graph.Vertex(a))
-		}
-	}
-	x.comp, _ = graph.Components(x.g)
-	return true, affected
-}
-
-// insertAffected reports whether a vertex with pre-insertion distances
-// da, db to the new edge's endpoints can see any distance change.
-func insertAffected(da, db int32) bool {
-	switch {
-	case da < 0 && db < 0:
-		// Disconnected from both endpoints: no path can use the edge.
-		return false
-	case da < 0 || db < 0:
-		// Reaches exactly one endpoint: the edge connects it to the
-		// other endpoint's component.
-		return true
-	default:
-		d := da - db
-		return d >= 2 || d <= -2
-	}
+	return true, x.repair(true, u, v)
 }
 
 // RemoveEdge deletes the undirected edge {u, v} from the indexed graph
-// and repairs the index. Only vertices with some shortest path through
-// the edge (|dist(a,u) - dist(a,v)| == 1 before the deletion) are
+// and repairs the index. Only the vertices EdgeAffected names are
 // rebuilt. It reports whether the edge existed.
 func (x *NLRNL) RemoveEdge(u, v graph.Vertex) bool {
 	ok, _ := x.RemoveEdgeAffected(u, v)
@@ -316,31 +266,26 @@ func (x *NLRNL) RemoveEdgeAffected(u, v graph.Vertex) (bool, []graph.Vertex) {
 	if u == v || int(u) >= len(x.c) || int(v) >= len(x.c) || !x.g.HasEdge(u, v) {
 		return false, nil
 	}
-	n := len(x.c)
-	tr := graph.NewTraverser(n)
-	du := tr.AllDistances(x.g, u, nil)
-	dv := tr.AllDistances(x.g, v, nil)
-	x.g.RemoveEdge(u, v)
+	return true, x.repair(false, u, v)
+}
 
-	var affected []graph.Vertex
-	dist := make([]int32, n)
-	for a := 0; a < n; a++ {
-		da, db := du[a], dv[a]
-		if da < 0 { // disconnected from the edge entirely
-			continue
-		}
-		if da-db == 1 || db-da == 1 {
-			x.buildVertex(graph.Vertex(a), tr, dist)
-			affected = append(affected, graph.Vertex(a))
-		}
+// repair applies one edge change that is known to take effect, rebuilds
+// the affected vertices and returns them.
+func (x *NLRNL) repair(insert bool, u, v graph.Vertex) []graph.Vertex {
+	affected := EdgeAffected(x.g, insert, u, v)
+	if insert {
+		x.g.AddEdge(u, v)
+	} else {
+		x.g.RemoveEdge(u, v)
 	}
+	x.rebuild(newLevelPass(len(x.c)), affected)
 	x.comp, _ = graph.Components(x.g)
-	return true, affected
+	return affected
 }
 
 // Clone returns a copy of the index that can be mutated independently of
 // the original. The underlying graph is deep-copied; the per-vertex
-// forward/reverse lists are shared copy-on-write — buildVertex always
+// forward/reverse lists are shared copy-on-write — rebuild always
 // replaces a vertex's lists wholesale and never edits them in place, so
 // mutating the clone rebuilds (and thereby unshares) exactly the affected
 // vertices while readers of the original keep seeing its old lists.

@@ -19,6 +19,7 @@ package live
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -200,52 +201,6 @@ func sortedVertexSet(set map[graph.Vertex]struct{}) []graph.Vertex {
 	for v := range set {
 		out = append(out, v)
 	}
-	for i := 1; i < len(out); i++ { // insertion sort; affected sets are small
-		for j := i; j > 0 && out[j-1] > out[j]; j-- {
-			out[j-1], out[j] = out[j], out[j-1]
-		}
-	}
-	return out
-}
-
-// affectedByInsert returns the vertices whose distance vectors inserting
-// {u, v} may change, per the §V-B rule: a is affected iff it reaches
-// exactly one endpoint, or |d(a,u) − d(a,v)| ≥ 2 before the insertion.
-// Distances are measured pre-mutation. Both endpoints of an effective
-// insert are always affected (their pre-insert distance is ≥ 2 or ∞).
-func affectedByInsert(g graph.Topology, tr *graph.Traverser, u, v graph.Vertex) []graph.Vertex {
-	du := tr.AllDistances(g, u, nil)
-	dv := tr.AllDistances(g, v, nil)
-	var out []graph.Vertex
-	for a := range du {
-		da, db := du[a], dv[a]
-		switch {
-		case da < 0 && db < 0:
-		case da < 0 || db < 0:
-			out = append(out, graph.Vertex(a))
-		default:
-			if d := da - db; d >= 2 || d <= -2 {
-				out = append(out, graph.Vertex(a))
-			}
-		}
-	}
-	return out
-}
-
-// affectedByRemove returns the vertices with some shortest path through
-// {u, v}: those with |d(a,u) − d(a,v)| == 1 before the deletion.
-func affectedByRemove(g graph.Topology, tr *graph.Traverser, u, v graph.Vertex) []graph.Vertex {
-	du := tr.AllDistances(g, u, nil)
-	dv := tr.AllDistances(g, v, nil)
-	var out []graph.Vertex
-	for a := range du {
-		da, db := du[a], dv[a]
-		if da < 0 {
-			continue
-		}
-		if da-db == 1 || db-da == 1 {
-			out = append(out, graph.Vertex(a))
-		}
-	}
+	slices.Sort(out)
 	return out
 }

@@ -38,7 +38,6 @@ type NLReplica struct {
 	G  *graph.Mutable
 	NL *index.NL
 	h  int
-	tr *graph.Traverser
 
 	dirty bool
 }
@@ -48,26 +47,13 @@ var _ Replica = (*NLReplica)(nil)
 // NewNLReplica wraps a built NL index and the topology it was built
 // from. The caller must not mutate either afterwards.
 func NewNLReplica(g *graph.Mutable, nl *index.NL) *NLReplica {
-	return &NLReplica{G: g, NL: nl, h: nl.H(), tr: graph.NewTraverser(g.NumVertices())}
+	return &NLReplica{G: g, NL: nl, h: nl.H()}
 }
 
 func (r *NLReplica) Apply(op EdgeOp) (bool, []graph.Vertex) {
-	if op.Insert {
-		if op.U == op.V || int(op.U) >= r.G.NumVertices() || int(op.V) >= r.G.NumVertices() || r.G.HasEdge(op.U, op.V) {
-			return false, nil
-		}
-		affected := affectedByInsert(r.G, r.tr, op.U, op.V)
-		r.G.AddEdge(op.U, op.V)
-		r.dirty = true
-		return true, affected
-	}
-	if op.U == op.V || int(op.U) >= r.G.NumVertices() || int(op.V) >= r.G.NumVertices() || !r.G.HasEdge(op.U, op.V) {
-		return false, nil
-	}
-	affected := affectedByRemove(r.G, r.tr, op.U, op.V)
-	r.G.RemoveEdge(op.U, op.V)
-	r.dirty = true
-	return true, affected
+	ok, affected := applyToGraph(r.G, op)
+	r.dirty = r.dirty || ok
+	return ok, affected
 }
 
 func (r *NLReplica) Finalize() error {
@@ -89,14 +75,13 @@ func (r *NLReplica) Clone() Replica {
 	g := r.G.Clone()
 	// The NL pointer is shared until Finalize replaces it on the clone;
 	// NL is read-only after build, so sharing is safe.
-	return &NLReplica{G: g, NL: r.NL, h: r.h, tr: graph.NewTraverser(g.NumVertices())}
+	return &NLReplica{G: g, NL: r.NL, h: r.h}
 }
 
 // GraphReplica serves the index-free configuration: ops mutate the graph
 // and every search runs its own BFS oracle over the published snapshot.
 type GraphReplica struct {
-	G  *graph.Mutable
-	tr *graph.Traverser
+	G *graph.Mutable
 }
 
 var _ Replica = (*GraphReplica)(nil)
@@ -104,23 +89,26 @@ var _ Replica = (*GraphReplica)(nil)
 // NewGraphReplica wraps a mutable graph. The caller must not mutate it
 // afterwards.
 func NewGraphReplica(g *graph.Mutable) *GraphReplica {
-	return &GraphReplica{G: g, tr: graph.NewTraverser(g.NumVertices())}
+	return &GraphReplica{G: g}
 }
 
-func (r *GraphReplica) Apply(op EdgeOp) (bool, []graph.Vertex) {
-	if op.Insert {
-		if op.U == op.V || int(op.U) >= r.G.NumVertices() || int(op.V) >= r.G.NumVertices() || r.G.HasEdge(op.U, op.V) {
-			return false, nil
-		}
-		affected := affectedByInsert(r.G, r.tr, op.U, op.V)
-		r.G.AddEdge(op.U, op.V)
-		return true, affected
-	}
-	if op.U == op.V || int(op.U) >= r.G.NumVertices() || int(op.V) >= r.G.NumVertices() || !r.G.HasEdge(op.U, op.V) {
+func (r *GraphReplica) Apply(op EdgeOp) (bool, []graph.Vertex) { return applyToGraph(r.G, op) }
+
+// applyToGraph applies op to g and returns, when it changed the graph,
+// the vertices whose distance vectors it may change, judged before the
+// change with the same §V-B rule NLRNL uses. A duplicate insert, a
+// missing delete or a self-loop returns (false, nil).
+func applyToGraph(g *graph.Mutable, op EdgeOp) (bool, []graph.Vertex) {
+	n := g.NumVertices()
+	if op.U == op.V || int(op.U) >= n || int(op.V) >= n || g.HasEdge(op.U, op.V) == op.Insert {
 		return false, nil
 	}
-	affected := affectedByRemove(r.G, r.tr, op.U, op.V)
-	r.G.RemoveEdge(op.U, op.V)
+	affected := index.EdgeAffected(g, op.Insert, op.U, op.V)
+	if op.Insert {
+		g.AddEdge(op.U, op.V)
+	} else {
+		g.RemoveEdge(op.U, op.V)
+	}
 	return true, affected
 }
 

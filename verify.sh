@@ -27,6 +27,9 @@ fi
 # internal/server and the fleet restart soak in internal/shard.
 go test -race ./internal/obs ./internal/server ./internal/live ./internal/wal ./internal/shard
 go test -race ./...
+# Every index build and repair runs on the bit-parallel BFS kernel;
+# fuzz it against the single-source Traverser beyond its seed corpus.
+go test ./internal/graph -run '^$' -fuzz FuzzMultiBFS -fuzztime 10s
 
 # The repository benchmark is a separate Go module over the public API
 # (perfbench/go.mod replaces ktg with ../). Vet and test it here so an
