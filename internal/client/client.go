@@ -295,87 +295,6 @@ func statsFrom(cells *statsCells) Stats {
 	}
 }
 
-// pairCounter increments two cells at once — this client's private cell
-// and the process-wide per-target cell shared by every client of the
-// same base URL — while reads stay scoped to the instance.
-type pairCounter struct {
-	own, target *atomic.Int64
-}
-
-func (p pairCounter) Add(n int64) {
-	p.own.Add(n)
-	p.target.Add(n)
-}
-
-type statsPairs struct {
-	calls, errs, attempts, retries, hedges, hedgeWins pairCounter
-	breakerTrips, breakerRejects, retryAfterHonored   pairCounter
-	budgetExhausted, degraded, partial, epochSkew     pairCounter
-}
-
-func pairStats(own, target *statsCells) statsPairs {
-	return statsPairs{
-		calls:             pairCounter{&own.calls, &target.calls},
-		errs:              pairCounter{&own.errs, &target.errs},
-		attempts:          pairCounter{&own.attempts, &target.attempts},
-		retries:           pairCounter{&own.retries, &target.retries},
-		hedges:            pairCounter{&own.hedges, &target.hedges},
-		hedgeWins:         pairCounter{&own.hedgeWins, &target.hedgeWins},
-		breakerTrips:      pairCounter{&own.breakerTrips, &target.breakerTrips},
-		breakerRejects:    pairCounter{&own.breakerRejects, &target.breakerRejects},
-		retryAfterHonored: pairCounter{&own.retryAfterHonored, &target.retryAfterHonored},
-		budgetExhausted:   pairCounter{&own.budgetExhausted, &target.budgetExhausted},
-		degraded:          pairCounter{&own.degraded, &target.degraded},
-		partial:           pairCounter{&own.partial, &target.partial},
-		epochSkew:         pairCounter{&own.epochSkew, &target.epochSkew},
-	}
-}
-
-// targetCells aggregates counters across every Client ever built for a
-// base URL, so a process talking to N shards through short-lived or
-// multiple clients can still ask "how is shard X doing" in one place.
-// The registry pins only the counter cells (~100 bytes per target).
-var (
-	targetsMu   sync.Mutex
-	targetCells = make(map[string]*statsCells)
-)
-
-func cellsForTarget(base string) *statsCells {
-	targetsMu.Lock()
-	defer targetsMu.Unlock()
-	cells, ok := targetCells[base]
-	if !ok {
-		cells = &statsCells{}
-		targetCells[base] = cells
-	}
-	return cells
-}
-
-// PerTargetStats snapshots the cumulative counters of every target this
-// process has built a Client for, keyed by normalized base URL and
-// aggregated across all client instances of that target.
-func PerTargetStats() map[string]Stats {
-	targetsMu.Lock()
-	defer targetsMu.Unlock()
-	out := make(map[string]Stats, len(targetCells))
-	for base, cells := range targetCells {
-		out[base] = statsFrom(cells)
-	}
-	return out
-}
-
-// TargetStats reports the aggregated counters for one base URL (false
-// when no Client was ever built for it).
-func TargetStats(base string) (Stats, bool) {
-	targetsMu.Lock()
-	defer targetsMu.Unlock()
-	cells, ok := targetCells[strings.TrimRight(base, "/")]
-	if !ok {
-		return Stats{}, false
-	}
-	return statsFrom(cells), true
-}
-
 // Client is a resilient KTG query-service client. It is safe for
 // concurrent use; the breaker and retry budget are shared across all
 // calls on the same instance (that sharing is the point: one bad
@@ -391,8 +310,7 @@ type Client struct {
 	mu  sync.Mutex
 	rng *rand.Rand
 
-	own *statsCells // this instance's counters (Stats reads these)
-	st  statsPairs  // increment fan-out: instance + per-target cells
+	st statsCells // this instance's counters (Stats reads these)
 }
 
 // New builds a Client for the given base URL ("http://host:port").
@@ -408,9 +326,7 @@ func New(cfg Config) (*Client, error) {
 		budget: newRetryBudget(cfg.RetryBudget, cfg.RetryRefill),
 		logger: cfg.Logger,
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
-		own:    &statsCells{},
 	}
-	c.st = pairStats(c.own, cellsForTarget(c.base))
 	c.br = newBreaker(cfg.Breaker, func() {
 		mBreakerTrips.Inc()
 		c.st.breakerTrips.Add(1)
@@ -423,11 +339,10 @@ func New(cfg Config) (*Client, error) {
 
 // Stats returns a snapshot of this client's counters.
 func (c *Client) Stats() Stats {
-	return statsFrom(c.own)
+	return statsFrom(&c.st)
 }
 
-// Target returns the normalized base URL this client talks to (the key
-// its counters aggregate under in PerTargetStats).
+// Target returns the normalized base URL this client talks to.
 func (c *Client) Target() string {
 	return c.base
 }

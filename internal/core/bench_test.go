@@ -96,7 +96,7 @@ func benchBatch(b *testing.B, n int, search func(i int) (Stats, error)) {
 				b.Fatal(err)
 			}
 			nodes += st.Nodes
-			calls += st.OracleCalls
+			calls += st.DistanceChecks
 		}
 	}
 	b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")

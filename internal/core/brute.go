@@ -36,18 +36,27 @@ func BruteForce(g graph.Topology, attrs *keywords.Attributes, q Query, opts Opti
 	var stats Stats
 	stats.CompileTime = time.Since(compileStart)
 
+	var deadline time.Time
+	if opts.MaxDuration > 0 {
+		deadline = time.Now().Add(opts.MaxDuration)
+	}
 	group := make([]graph.Vertex, 0, q.P)
-	var ctxErr error
+	// stopErr ends the enumeration: ErrBudgetExhausted once MaxNodes or
+	// MaxDuration is spent, or the context's error.
+	var stopErr error
 	var recurse func(start int)
 	recurse = func(start int) {
 		stats.Nodes++
-		if opts.Context != nil && stats.Nodes&deadlineNodeMask == 0 {
-			if err := opts.Context.Err(); err != nil {
-				ctxErr = err
-				return
+		if opts.MaxNodes > 0 && stats.Nodes > opts.MaxNodes {
+			stopErr = ErrBudgetExhausted
+		} else if stats.Nodes&deadlineNodeMask == 0 {
+			if !deadline.IsZero() && time.Now().After(deadline) {
+				stopErr = ErrBudgetExhausted
+			} else if opts.Context != nil {
+				stopErr = opts.Context.Err()
 			}
 		}
-		if ctxErr != nil {
+		if stopErr != nil {
 			return
 		}
 		if len(group) == q.P {
@@ -56,13 +65,13 @@ func BruteForce(g graph.Topology, attrs *keywords.Attributes, q Query, opts Opti
 			return
 		}
 		for i := start; i < len(cands); i++ {
-			if ctxErr != nil {
+			if stopErr != nil {
 				return
 			}
 			v := cands[i]
 			ok := true
 			for _, u := range group {
-				stats.OracleCalls++
+				stats.DistanceChecks++
 				if oracle.Within(u, v, q.K) {
 					ok = false
 					break
@@ -89,8 +98,8 @@ func BruteForce(g graph.Topology, attrs *keywords.Attributes, q Query, opts Opti
 		})
 	}
 	res := &Result{Groups: groups, QueryWidth: kq.Width(), Stats: stats}
-	if ctxErr != nil {
-		return res, fmt.Errorf("brute force cancelled after %d nodes: %w", stats.Nodes, ctxErr)
+	if stopErr != nil {
+		return res, fmt.Errorf("brute force stopped after %d nodes: %w", stats.Nodes, stopErr)
 	}
 	return res, nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"testing"
+	"time"
 
 	"ktg/internal/graph"
 	"ktg/internal/index"
@@ -149,5 +150,33 @@ func TestBruteForceContextCancelled(t *testing.T) {
 	if res.Stats.Nodes >= full.Stats.Nodes {
 		t.Fatalf("cancelled brute force explored %d nodes, full run %d — no early exit",
 			res.Stats.Nodes, full.Stats.Nodes)
+	}
+}
+
+// TestBruteForceMaxDuration: brute force honours MaxDuration like the
+// branch-and-bound does, stopping at the first throttled check with the
+// best groups so far and ErrBudgetExhausted.
+func TestBruteForceMaxDuration(t *testing.T) {
+	g, a := fixtureGraph(), fixtureAttrs()
+	q, opts := wideQuery(t)
+	full, err := BruteForce(g, a, q, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.Stats.Nodes <= deadlineNodeMask {
+		t.Fatalf("fixture too small: %d nodes", full.Stats.Nodes)
+	}
+
+	opts.MaxDuration = time.Nanosecond
+	res, err := BruteForce(g, a, q, opts)
+	if res == nil {
+		t.Fatal("timed-out brute force returned nil result")
+	}
+	if !errors.Is(err, ErrBudgetExhausted) {
+		t.Fatalf("err = %v, want wrapped ErrBudgetExhausted", err)
+	}
+	if res.Stats.Nodes != deadlineNodeMask+1 {
+		t.Fatalf("timed-out brute force explored %d nodes, want %d (the first check)",
+			res.Stats.Nodes, deadlineNodeMask+1)
 	}
 }

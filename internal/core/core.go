@@ -8,7 +8,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"log/slog"
 	"sort"
 	"time"
 
@@ -123,10 +122,6 @@ type Options struct {
 	// disables collection; the hot path then pays one branch per node.
 	// A probe is single-use: allocate a fresh one per query.
 	Probe *Probe
-	// Logger receives structured start/finish records for each search.
-	// nil falls back to the obs package default (a no-op unless the
-	// embedding application installed one).
-	Logger *slog.Logger
 }
 
 // ErrBudgetExhausted is returned (wrapped) when MaxNodes is hit.
@@ -146,46 +141,50 @@ func (g Group) QKC(queryWidth int) float64 {
 	return float64(g.Coverage) / float64(queryWidth)
 }
 
-// Stats reports search effort, used by the efficiency experiments and
-// the pruning ablations.
+// Stats is the record one search fills: its effort counters, the
+// wall-clock time of each phase, and the per-depth histograms. Logs,
+// metrics, trace spans and flight records are all derived from it. The
+// JSON field names are stable; ktgquery -stats-json emits this struct
+// verbatim.
 type Stats struct {
 	// Nodes is the number of branch-and-bound tree nodes explored.
-	Nodes int64
+	Nodes int64 `json:"nodes"`
 	// Pruned counts subtrees cut by keyword pruning (Theorem 2).
-	Pruned int64
+	Pruned int64 `json:"pruned"`
 	// Filtered counts candidates removed by k-line filtering (Theorem 3).
-	Filtered int64
-	// OracleCalls counts calls to the distance oracle. The exact
+	Filtered int64 `json:"filtered"`
+	// DistanceChecks counts calls to the distance oracle. The exact
 	// searches ask it about each unordered pair of candidates at most
-	// once per search (while the distance memo is within its budget).
-	OracleCalls int64
+	// once per search, while their distance memo stays within its
+	// 8 MiB budget.
+	DistanceChecks int64 `json:"distance_checks"`
 	// Feasible counts complete size-p groups evaluated.
-	Feasible int64
+	Feasible int64 `json:"feasible"`
 
 	// Wall-clock breakdown of the search phases: query compilation,
 	// initial candidate-set construction, and branch-and-bound
-	// exploration.
-	CompileTime   time.Duration
-	CandidateTime time.Duration
-	ExploreTime   time.Duration
+	// exploration. A phase the algorithm does not run stays zero.
+	CompileTime   time.Duration `json:"compile_ns"`
+	CandidateTime time.Duration `json:"candidate_ns"`
+	ExploreTime   time.Duration `json:"explore_ns"`
 
 	// Per-depth effort histograms: index d counts events at nodes whose
 	// intermediate group S_I holds d members (so index P marks complete
-	// groups). nil when the search never allocated them (e.g. rejected
-	// queries).
-	DepthNodes    []int64
-	DepthPruned   []int64
-	DepthFiltered []int64
+	// groups). nil for algorithms without a depth notion and for
+	// rejected queries.
+	DepthNodes    []int64 `json:"depth_nodes,omitempty"`
+	DepthPruned   []int64 `json:"depth_pruned,omitempty"`
+	DepthFiltered []int64 `json:"depth_filtered,omitempty"`
 }
 
 // Add accumulates o into s, summing counters and timings and merging
-// the per-depth histograms element-wise. SearchDiverse uses it to
-// aggregate its per-group searches.
+// the per-depth histograms element-wise. SearchDiverse and
+// MergePartials use it to aggregate several searches.
 func (s *Stats) Add(o Stats) {
 	s.Nodes += o.Nodes
 	s.Pruned += o.Pruned
 	s.Filtered += o.Filtered
-	s.OracleCalls += o.OracleCalls
+	s.DistanceChecks += o.DistanceChecks
 	s.Feasible += o.Feasible
 	s.CompileTime += o.CompileTime
 	s.CandidateTime += o.CandidateTime

@@ -338,7 +338,7 @@ func TestStatsAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Stats.Nodes == 0 || r.Stats.OracleCalls == 0 || r.Stats.Feasible == 0 {
+	if r.Stats.Nodes == 0 || r.Stats.DistanceChecks == 0 || r.Stats.Feasible == 0 {
 		t.Errorf("stats look unpopulated: %+v", r.Stats)
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"ktg/internal/graph"
 	"ktg/internal/keywords"
-	"ktg/internal/obs"
 )
 
 // DiverseOptions configures SearchDiverse.
@@ -109,8 +108,6 @@ func SearchDiverse(g graph.Topology, attrs *keywords.Attributes, q Query, opts D
 	perGroup := opts.Options
 	perGroup.ExcludeVertices = append([]graph.Vertex(nil), opts.ExcludeVertices...)
 
-	logger := obs.OrCtx(opts.Context, opts.Logger)
-	logger.Debug("ktg: diverse search start", "n", q.N, "gamma", opts.Gamma)
 	res := &DiverseResult{}
 	for len(res.Groups) < q.N {
 		sub := q
@@ -138,9 +135,6 @@ func SearchDiverse(g graph.Topology, attrs *keywords.Attributes, q Query, opts D
 		}
 	}
 	res.finishScores(opts.Gamma)
-	logger.Debug("ktg: diverse search done",
-		"groups", len(res.Groups), "score", res.Score, "diversity", res.Diversity,
-		"nodes", res.Stats.Nodes, "feasible", res.Stats.Feasible)
 	return res, nil
 }
 

@@ -4,15 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"log/slog"
 	"sort"
-	"strconv"
 	"time"
 
 	"ktg/internal/graph"
 	"ktg/internal/index"
 	"ktg/internal/keywords"
-	"ktg/internal/obs"
 )
 
 // GreedyOptions configures the approximate Greedy search.
@@ -32,9 +29,6 @@ type GreedyOptions struct {
 	// carries seed-level progress and the bound trajectory only; the
 	// per-depth breakdown stays empty.
 	Probe *Probe
-	// Logger receives structured start/finish records (nil = obs
-	// package default).
-	Logger *slog.Logger
 }
 
 // Greedy answers a KTG query approximately in a single pass per group:
@@ -60,9 +54,6 @@ func Greedy(g graph.Topology, attrs *keywords.Attributes, q Query, opts GreedyOp
 		return nil, err
 	}
 	compileTime := time.Since(compileStart)
-	// Nil outside a traced request; every call below is then a no-op.
-	span := obs.SpanFromContext(opts.Context)
-	span.AddCompletedChild(obs.PhaseCompile, compileStart, compileTime)
 	oracle := opts.Oracle
 	if oracle == nil {
 		oracle = index.NewBFSOracle(g)
@@ -140,7 +131,7 @@ func Greedy(g graph.Topology, attrs *keywords.Attributes, q Query, opts GreedyOp
 				}
 				compatible := true
 				for _, m := range group {
-					stats.OracleCalls++
+					stats.DistanceChecks++
 					if oracle.Within(m, c.v, q.K) {
 						compatible = false
 						break
@@ -180,12 +171,6 @@ func Greedy(g graph.Topology, attrs *keywords.Attributes, q Query, opts GreedyOp
 		}
 	}
 	stats.ExploreTime = time.Since(exploreStart)
-	span.AddCompletedChild(obs.PhaseExplore, exploreStart, stats.ExploreTime,
-		obs.Attr{Key: "seeds", Value: strconv.FormatInt(stats.Nodes, 10)})
-	obs.OrCtx(opts.Context, opts.Logger).Debug("ktg: greedy search done",
-		"seeds", stats.Nodes, "feasible", stats.Feasible,
-		"oracle_calls", stats.OracleCalls, "explore", stats.ExploreTime,
-		"cancelled", ctxErr != nil)
 	probe.endSearch(stats, kq.Width())
 	res := &Result{Groups: heap.Groups(), QueryWidth: kq.Width(), Stats: stats}
 	if ctxErr != nil {

@@ -85,7 +85,7 @@ func refSearch(t *testing.T, g graph.Topology, attrs *keywords.Attributes, q Que
 		}
 		nearQueryVertex := false
 		for _, qv := range opts.QueryVertices {
-			s.stats.OracleCalls++
+			s.stats.DistanceChecks++
 			if oracle.Within(qv, v, q.K) {
 				nearQueryVertex = true
 				break
@@ -149,7 +149,7 @@ func (s *refSearcher) explore(cands []refCandidate, covered bitset.Set, depth in
 		childCover.UnionWith(s.kq.Mask(v.v))
 		child := s.candBuf[depth][:0]
 		for _, u := range cands[i+1:] {
-			s.stats.OracleCalls++
+			s.stats.DistanceChecks++
 			if s.oracle.Within(v.v, u.v, s.q.K) {
 				s.stats.Filtered++
 				s.stats.DepthFiltered[depth]++
@@ -221,8 +221,8 @@ func requireSameStats(t *testing.T, label string, got, want Stats) {
 			t.Fatalf("%s: %s = %v, reference %v", label, h.name, h.got, h.want)
 		}
 	}
-	if got.OracleCalls > want.OracleCalls {
-		t.Fatalf("%s: %d oracle calls, reference %d", label, got.OracleCalls, want.OracleCalls)
+	if got.DistanceChecks > want.DistanceChecks {
+		t.Fatalf("%s: %d oracle calls, reference %d", label, got.DistanceChecks, want.DistanceChecks)
 	}
 }
 
@@ -488,8 +488,8 @@ func TestKernelAsksEachPairOnce(t *testing.T) {
 		if m := rec.maxRepeat(); m > 1 {
 			t.Fatalf("%s: a pair reached the index %d times (reference: up to %d)", variantLabel(o), m, ref.maxRepeat())
 		}
-		if int64(len(rec.asked)) != res.Stats.OracleCalls {
-			t.Fatalf("%s: %d pairs asked, Stats.OracleCalls = %d", variantLabel(o), len(rec.asked), res.Stats.OracleCalls)
+		if int64(len(rec.asked)) != res.Stats.DistanceChecks {
+			t.Fatalf("%s: %d pairs asked, Stats.DistanceChecks = %d", variantLabel(o), len(rec.asked), res.Stats.DistanceChecks)
 		}
 	}
 }

@@ -70,8 +70,8 @@ func TestSearchMaxDurationInsideFilterLoop(t *testing.T) {
 	if r.Stats.Nodes >= 128 {
 		t.Errorf("explored %d nodes; the node-entry check could have fired, test is not isolating the filter-loop check", r.Stats.Nodes)
 	}
-	if r.Stats.OracleCalls < 256 {
-		t.Errorf("only %d oracle calls; filter-loop check cannot have fired", r.Stats.OracleCalls)
+	if r.Stats.DistanceChecks < 256 {
+		t.Errorf("only %d oracle calls; filter-loop check cannot have fired", r.Stats.DistanceChecks)
 	}
 }
 
@@ -163,7 +163,7 @@ func TestSearchDiverseAggregatesStats(t *testing.T) {
 
 func TestStatsAdd(t *testing.T) {
 	a := Stats{
-		Nodes: 1, Pruned: 2, Filtered: 3, OracleCalls: 4, Feasible: 6,
+		Nodes: 1, Pruned: 2, Filtered: 3, DistanceChecks: 4, Feasible: 6,
 		CompileTime: time.Millisecond, ExploreTime: 2 * time.Millisecond,
 		DepthNodes: []int64{1, 2},
 	}

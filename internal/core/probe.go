@@ -330,7 +330,7 @@ func (p *Probe) Explain() *Explain {
 		Nodes:         p.stats.Nodes,
 		Pruned:        p.stats.Pruned,
 		Filtered:      p.stats.Filtered,
-		OracleCalls:   p.stats.OracleCalls,
+		OracleCalls:   p.stats.DistanceChecks,
 		Feasible:      p.stats.Feasible,
 		Bounds:        append([]BoundStep(nil), p.bounds...),
 		BoundsDropped: p.boundsDropped,

@@ -22,7 +22,7 @@ func TestProbeExplainMatchesStats(t *testing.T) {
 		t.Fatal("probe returned nil explain")
 	}
 	if e.Nodes != res.Stats.Nodes || e.Pruned != res.Stats.Pruned ||
-		e.Filtered != res.Stats.Filtered || e.OracleCalls != res.Stats.OracleCalls ||
+		e.Filtered != res.Stats.Filtered || e.OracleCalls != res.Stats.DistanceChecks ||
 		e.Feasible != res.Stats.Feasible {
 		t.Fatalf("explain totals %+v disagree with stats %+v", e, res.Stats)
 	}

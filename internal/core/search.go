@@ -6,13 +6,11 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"strconv"
 	"time"
 
 	"ktg/internal/graph"
 	"ktg/internal/index"
 	"ktg/internal/keywords"
-	"ktg/internal/obs"
 )
 
 // Wall-clock deadline and context checks are throttled: both are
@@ -70,24 +68,12 @@ func runWithMemo(g graph.Topology, attrs *keywords.Attributes, q Query, opts Opt
 			return nil, fmt.Errorf("core: query vertex %d out of range [0,%d)", qv, g.NumVertices())
 		}
 	}
-	// OrCtx stamps the context's request ID onto the fallback logger so
-	// core-level lines correlate with the serving request even when the
-	// caller injected no request-scoped logger.
-	logger := obs.OrCtx(opts.Context, opts.Logger)
-	logger.Debug("ktg: search start",
-		"keywords", len(q.Keywords), "p", q.P, "k", q.K, "n", q.N,
-		"ordering", opts.Ordering.String())
 	compileStart := time.Now()
 	kq, err := keywords.CompileQuery(attrs, q.Keywords)
 	if err != nil {
 		return nil, err
 	}
 	compileTime := time.Since(compileStart)
-	// When the caller's context carries a trace span (the server's
-	// search span), the phases also land there as child spans; span is
-	// nil — and every call below a no-op — outside a traced request.
-	span := obs.SpanFromContext(opts.Context)
-	span.AddCompletedChild(obs.PhaseCompile, compileStart, compileTime)
 	oracle := opts.Oracle
 	if oracle == nil {
 		oracle = index.NewBFSOracle(g)
@@ -136,7 +122,7 @@ func runWithMemo(g graph.Topology, attrs *keywords.Attributes, q Query, opts Opt
 		}
 		nearQueryVertex := false
 		for _, qv := range opts.QueryVertices {
-			s.stats.OracleCalls++
+			s.stats.DistanceChecks++
 			if oracle.Within(qv, v, q.K) {
 				nearQueryVertex = true
 				break
@@ -179,8 +165,6 @@ func runWithMemo(g graph.Topology, attrs *keywords.Attributes, q Query, opts Opt
 		s.probe.begin()
 		s.probe.setFrontier(owned, s.frontier)
 	}
-	span.AddCompletedChild(obs.PhaseCandidates, candStart, s.stats.CandidateTime,
-		obs.Attr{Key: "size", Value: strconv.Itoa(s.frontier)})
 
 	exploreStart := time.Now()
 	// A context cancelled before exploration starts skips it outright —
@@ -194,18 +178,6 @@ func runWithMemo(g graph.Topology, attrs *keywords.Attributes, q Query, opts Opt
 		s.explore(0, s.frontier)
 	}
 	s.stats.ExploreTime = time.Since(exploreStart)
-	// nodes/pruned include branch-and-bound effort; filtered counts the
-	// k-line filter's removals (Theorem 3).
-	span.AddCompletedChild(obs.PhaseExplore, exploreStart, s.stats.ExploreTime,
-		obs.Attr{Key: "nodes", Value: strconv.FormatInt(s.stats.Nodes, 10)},
-		obs.Attr{Key: "pruned", Value: strconv.FormatInt(s.stats.Pruned, 10)},
-		obs.Attr{Key: "filtered", Value: strconv.FormatInt(s.stats.Filtered, 10)})
-
-	logger.Debug("ktg: search done",
-		"groups", len(s.heap.items), "nodes", s.stats.Nodes, "pruned", s.stats.Pruned,
-		"filtered", s.stats.Filtered, "oracle_calls", s.stats.OracleCalls,
-		"feasible", s.stats.Feasible, "explore", s.stats.ExploreTime,
-		"budget_hit", s.budgetHit)
 	s.probe.endSearch(s.stats, s.kq.Width())
 	return s, nil
 }
@@ -509,8 +481,8 @@ func (s *searcher) nearOf(v int, rem []uint64) []uint64 {
 			u := w<<6 | b
 			decided, within := s.memo.decided(u, v)
 			if !decided {
-				s.stats.OracleCalls++
-				if s.checkAbort && s.stats.OracleCalls&deadlineOracleMask == 0 && s.aborted() {
+				s.stats.DistanceChecks++
+				if s.checkAbort && s.stats.DistanceChecks&deadlineOracleMask == 0 && s.aborted() {
 					return nil
 				}
 				within = s.oracle.Within(s.verts[v], s.verts[u], s.q.K)

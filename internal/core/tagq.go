@@ -99,7 +99,7 @@ func TAGQ(g graph.Topology, attrs *keywords.Attributes, q Query, opts TAGQOption
 			}
 			add := 0
 			for _, m := range members {
-				stats.OracleCalls++
+				stats.DistanceChecks++
 				if oracle.Within(m, c.v, q.K) {
 					add++
 				}

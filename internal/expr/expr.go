@@ -149,7 +149,7 @@ func (e *Effort) add(s core.Stats) {
 	e.Nodes += s.Nodes
 	e.Pruned += s.Pruned
 	e.Filtered += s.Filtered
-	e.OracleCalls += s.OracleCalls
+	e.OracleCalls += s.DistanceChecks
 	e.Feasible += s.Feasible
 }
 

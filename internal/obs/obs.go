@@ -6,12 +6,15 @@
 // the live search view; W3C-propagated trace spans with a tail-sampling
 // trace store; and a debug HTTP server exposing all of it.
 //
-// A search itself is observed through its SearchStats, its probe, the
-// spans its context carries, and the logger; obs supplies the sinks.
-// The branch-and-bound hot path pays near-zero cost for any of them:
-// span methods are no-ops on a nil span, the default logger discards
-// before formatting, and metric mutations are single atomic adds
-// batched at search boundaries rather than per node.
+// A search reports only through the Stats record it returns and its
+// optional probe; the search core imports neither this package nor
+// log/slog. The root ktg package derives the search's log lines,
+// metrics and phase spans from that record, and Phases lists the
+// phases both the spans and flight-recorder records show. The
+// branch-and-bound hot path therefore pays nothing here: metric
+// mutations are single atomic adds at search boundaries, span methods
+// are no-ops on a nil span, and the default logger discards before
+// formatting.
 package obs
 
 import (

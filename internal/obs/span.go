@@ -21,9 +21,8 @@ type SpanEvent struct {
 	Value int64     `json:"value,omitempty"`
 }
 
-// Search phase names. The core names its compile/candidates/explore
-// child spans after them, and flight-recorder records list the phases
-// of a search under the same names.
+// Search phase names. A search's compile/candidates/explore child spans
+// and its flight-recorder phases carry them, both listed by Phases.
 const (
 	// PhaseCompile covers query keyword compilation.
 	PhaseCompile = "compile"
@@ -32,6 +31,23 @@ const (
 	// PhaseExplore covers the branch-and-bound exploration.
 	PhaseExplore = "explore"
 )
+
+// Phases lists a search's phases in order from its recorded phase
+// times. A phase the algorithm does not run (greedy and brute force
+// build no candidate set) took no time and is left out.
+func Phases(compile, candidates, explore time.Duration) []SpanRecord {
+	var out []SpanRecord
+	for _, p := range []SpanRecord{
+		{Phase: PhaseCompile, Duration: compile},
+		{Phase: PhaseCandidates, Duration: candidates},
+		{Phase: PhaseExplore, Duration: explore},
+	} {
+		if p.Duration > 0 {
+			out = append(out, p)
+		}
+	}
+	return out
+}
 
 // Span status codes. The zero value (unset) renders as "ok".
 const (

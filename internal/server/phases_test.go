@@ -6,6 +6,8 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"sort"
+	"strings"
 	"testing"
 
 	"ktg/internal/obs"
@@ -13,9 +15,12 @@ import (
 
 // TestRecordPhasesMatchStats: a flight-recorder record's phases are the
 // answer's own SearchStats timings — compile_ns, candidate_ns and
-// explore_ns — and a phase the algorithm does not run is left out.
+// explore_ns — and a phase the algorithm does not run is left out. The
+// request's trace holds the same phases, in the same order and with the
+// same durations, as child spans of its search span.
 func TestRecordPhasesMatchStats(t *testing.T) {
-	s := newTestServer(t, Config{Recorder: obs.NewFlightRecorder(8, 0, -1, 0),
+	traces := obs.NewTraceStore(obs.TraceStoreConfig{})
+	s := newTestServer(t, Config{Recorder: obs.NewFlightRecorder(8, 0, -1, 0), TraceStore: traces,
 		Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
 	h := s.Handler()
 
@@ -30,10 +35,15 @@ func TestRecordPhasesMatchStats(t *testing.T) {
 		{"greedy", "/v1/query",
 			`{"dataset":"reviewers","keywords":["SN","QP","DQ","GQ","GD"],"group_size":3,"tenuity":1,"top_n":2,"algorithm":"greedy"}`,
 			[]string{"compile", "explore"}},
+		{"diverse", "/v1/diverse", goodBody, []string{"compile", "candidates", "explore"}},
+		{"brute", "/v1/query",
+			`{"dataset":"reviewers","keywords":["SN","QP","DQ","GQ","GD"],"group_size":3,"tenuity":1,"top_n":2,"algorithm":"brute"}`,
+			[]string{"compile", "explore"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if rec, _ := postJSON(t, h, tc.path, tc.body); rec.Code != http.StatusOK {
-				t.Fatalf("%s: status %d: %s", tc.path, rec.Code, rec.Body.String())
+			answer, _ := postJSON(t, h, tc.path, tc.body)
+			if answer.Code != http.StatusOK {
+				t.Fatalf("%s: status %d: %s", tc.path, answer.Code, answer.Body.String())
 			}
 			rec := httptest.NewRecorder()
 			h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/requests?limit=1", nil))
@@ -69,6 +79,30 @@ func TestRecordPhasesMatchStats(t *testing.T) {
 			for i := range got {
 				if got[i] != tc.phases[i] {
 					t.Fatalf("phases = %v, want %v", got, tc.phases)
+				}
+			}
+
+			tr := awaitTrace(t, traces, answer.Header().Get("X-Trace-Id"))
+			var searchID string
+			for _, sp := range tr.Spans {
+				if strings.HasPrefix(sp.Name, "search.") {
+					searchID = sp.SpanID
+				}
+			}
+			var spans []obs.SpanData
+			for _, sp := range tr.Spans {
+				if sp.ParentID == searchID && statsKey[sp.Name] != "" {
+					spans = append(spans, sp)
+				}
+			}
+			sort.Slice(spans, func(i, j int) bool { return spans[i].Start.Before(spans[j].Start) })
+			if len(spans) != len(r.Phases) {
+				t.Fatalf("trace has %d phase spans, record has %d phases", len(spans), len(r.Phases))
+			}
+			for i, sp := range spans {
+				if sp.Name != r.Phases[i].Phase || int64(sp.Duration) != r.Phases[i].Duration {
+					t.Errorf("trace phase %d = %s %dns, record has %s %dns",
+						i, sp.Name, sp.Duration, r.Phases[i].Phase, r.Phases[i].Duration)
 				}
 			}
 		})

@@ -118,7 +118,7 @@ func (sc *Scope) traceStore() *obs.TraceStore {
 // Wrap is the outermost middleware: it assigns the request ID (honoring
 // a well-formed inbound X-Request-Id, generating one otherwise), echoes
 // it on the response, attaches a request-scoped logger and the ID itself
-// to the context (so core-level search logs correlate), and — for /v1/*
+// to the context (so search start/done logs correlate), and — for /v1/*
 // API requests — extracts any inbound W3C traceparent, opens the root
 // span "<prefix> <path>" (its trace ID echoed as X-Trace-Id), tracks the
 // request in the flight recorder's in-flight table and records it on

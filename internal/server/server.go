@@ -475,12 +475,13 @@ func (s *Server) admit(ctx context.Context) (time.Duration, error) {
 func Timeout(timeoutMillis int64, def, max time.Duration) time.Duration {
 	timeout := def
 	if timeoutMillis > 0 {
-		timeout = time.Duration(timeoutMillis) * time.Millisecond
-	}
-	if timeout > max {
+		// Clamp before converting: the product overflows past ~9.2e12 ms.
 		timeout = max
+		if timeoutMillis <= max.Milliseconds() {
+			timeout = time.Duration(timeoutMillis) * time.Millisecond
+		}
 	}
-	return timeout
+	return min(timeout, max)
 }
 
 // testSearchHook, when non-nil, runs inside runSearch after admission
@@ -537,11 +538,12 @@ func (s *Server) runSearch(reqCtx context.Context, req *QueryRequest, ds *Datase
 	s.cfg.Recorder.SetProgress(reqRec.ID, func() any { return probe.Snapshot() })
 	defer s.cfg.Recorder.SetProgress(reqRec.ID, nil)
 
-	// The search child span wraps the whole core call; the core hangs
-	// its own compile/candidates/explore children off it via ctx. The
-	// probe-derived attrs put pruning efficacy (final bound, cut
-	// totals, frontier coverage) on the waterfall without a separate
-	// explain request.
+	// The search child span wraps the whole library call, which hangs
+	// the compile/candidates/explore children off it via ctx. Its
+	// counters come from the answer's Stats; the probe adds only what
+	// Stats does not hold (final bound, roots explored, frontier size),
+	// so pruning efficacy shows on the waterfall without an explain
+	// request.
 	ctx, searchSpan := obs.StartChild(ctx, "search."+kind)
 	defer func() {
 		if searchSpan == nil {
@@ -553,17 +555,17 @@ func (s *Server) runSearch(reqCtx context.Context, req *QueryRequest, ds *Datase
 		if resp != nil {
 			searchSpan.SetAttr("algorithm", resp.Algorithm)
 			searchSpan.SetAttr("nodes", strconv.FormatInt(resp.Stats.Nodes, 10))
+			searchSpan.SetAttr("pruned", strconv.FormatInt(resp.Stats.Pruned, 10))
+			searchSpan.SetAttr("filtered", strconv.FormatInt(resp.Stats.Filtered, 10))
 			searchSpan.SetAttr("distance_checks", strconv.FormatInt(resp.Stats.DistanceChecks, 10))
 		}
 		if slice != nil {
 			searchSpan.SetAttr("offers", strconv.Itoa(len(slice.Offers)))
 		}
-		if pe := probe.Explain(); pe != nil {
-			searchSpan.SetAttr("final_threshold", strconv.Itoa(pe.FinalThresh))
-			searchSpan.SetAttr("pruned", strconv.FormatInt(pe.Pruned, 10))
-			searchSpan.SetAttr("filtered", strconv.FormatInt(pe.Filtered, 10))
-			searchSpan.SetAttr("roots_explored", strconv.FormatInt(pe.RootsExplored, 10))
-		}
+		pe := probe.Explain()
+		searchSpan.SetAttr("final_threshold", strconv.Itoa(pe.FinalThresh))
+		searchSpan.SetAttr("roots_explored", strconv.FormatInt(pe.RootsExplored, 10))
+		searchSpan.SetAttr("frontier_size", strconv.Itoa(pe.FrontierSize))
 		searchSpan.End()
 	}()
 
@@ -602,7 +604,7 @@ func (s *Server) runSearch(reqCtx context.Context, req *QueryRequest, ds *Datase
 		Tenuity:   req.Tenuity,
 		TopN:      req.TopN,
 	}
-	// The request-scoped logger makes core-level lines carry request_id.
+	// The request-scoped logger makes the search's lines carry request_id.
 	opts := ktg.SearchOptions{
 		Algorithm: wireAlgorithms[req.Algorithm],
 		Index:     idx,
@@ -657,7 +659,7 @@ func (s *Server) runSearch(reqCtx context.Context, req *QueryRequest, ds *Datase
 		// message rather than masking it.
 		return nil, nil, badRequest("invalid_query", "%v", err)
 	}
-	reqRec.Phases = searchPhases(res.Stats)
+	reqRec.Phases = obs.Phases(res.Stats.CompileTime, res.Stats.CandidateTime, res.Stats.ExploreTime)
 	if reqCtx.Err() != nil {
 		// The client went away (or shutdown force-cancelled the base
 		// context) mid-search: there is nobody to answer. writeError
@@ -692,23 +694,6 @@ func (s *Server) runSearch(reqCtx context.Context, req *QueryRequest, ds *Datase
 		resp.Explain = pe
 	}
 	return resp, slice, nil
-}
-
-// searchPhases lists a search's phases for its flight-recorder record,
-// taken from the answer's SearchStats. Phases the algorithm does not
-// run (greedy and brute force build no candidate set) are left out.
-func searchPhases(st ktg.SearchStats) []obs.SpanRecord {
-	var out []obs.SpanRecord
-	for _, p := range []obs.SpanRecord{
-		{Phase: obs.PhaseCompile, Duration: st.CompileTime},
-		{Phase: obs.PhaseCandidates, Duration: st.CandidateTime},
-		{Phase: obs.PhaseExplore, Duration: st.ExploreTime},
-	} {
-		if p.Duration > 0 {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 func (s *Server) handleDatasets(w http.ResponseWriter, _ *http.Request) {

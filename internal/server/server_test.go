@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -388,13 +389,51 @@ func TestDeadlineExceededReturnsPartial(t *testing.T) {
 
 func TestMaxNodesReturnsBudgetPartial(t *testing.T) {
 	s := newTestServer(t, Config{})
-	body := `{"dataset":"reviewers","keywords":["SN","QP","DQ","GQ","GD"],"group_size":3,"tenuity":1,"top_n":2,"max_nodes":1}`
+	for _, body := range []string{
+		`{"dataset":"reviewers","keywords":["SN","QP","DQ","GQ","GD"],"group_size":3,"tenuity":1,"top_n":2,"max_nodes":1}`,
+		`{"dataset":"reviewers","keywords":["SN","QP","DQ","GQ","GD"],"group_size":3,"tenuity":1,"top_n":2,"algorithm":"brute","max_nodes":3}`,
+	} {
+		rec, out := postJSON(t, s.Handler(), "/v1/query", body)
+		if rec.Code != 200 {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+		}
+		if out["partial"] != true || out["partial_reason"] != "budget" {
+			t.Fatalf("%s: partial = %v reason = %v, want budget partial", body, out["partial"], out["partial_reason"])
+		}
+	}
+}
+
+// TestHugeTimeoutClampsToCeiling: a timeout_ms too large to convert to a
+// Duration clamps to the ceiling instead of overflowing into a deadline
+// that has already passed.
+func TestHugeTimeoutClampsToCeiling(t *testing.T) {
+	const def, ceiling = 30 * time.Second, 2 * time.Minute
+	for _, tc := range []struct {
+		ms   int64
+		want time.Duration
+	}{
+		{0, def},
+		{1, time.Millisecond},
+		{ceiling.Milliseconds(), ceiling},
+		{1e13, ceiling},
+		{math.MaxInt64, ceiling},
+	} {
+		if got := Timeout(tc.ms, def, ceiling); got != tc.want {
+			t.Errorf("Timeout(%d ms) = %v, want %v", tc.ms, got, tc.want)
+		}
+	}
+
+	s := newTestServer(t, Config{})
+	body := `{"dataset":"reviewers","keywords":["SN","QP","DQ","GQ","GD"],"group_size":3,"tenuity":1,"top_n":2,"timeout_ms":10000000000000}`
 	rec, out := postJSON(t, s.Handler(), "/v1/query", body)
 	if rec.Code != 200 {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 	}
-	if out["partial"] != true || out["partial_reason"] != "budget" {
-		t.Fatalf("partial = %v reason = %v, want budget partial", out["partial"], out["partial_reason"])
+	if out["partial"] == true {
+		t.Fatalf("huge timeout answered partial (%v)", out["partial_reason"])
+	}
+	if groups, _ := out["groups"].([]any); len(groups) == 0 {
+		t.Fatalf("no groups for a huge timeout: %s", rec.Body.String())
 	}
 }
 

@@ -239,9 +239,14 @@ func TestTAGQBaselineEndToEnd(t *testing.T) {
 
 func TestBudgetExhaustion(t *testing.T) {
 	n := reviewerNetwork(t)
-	_, err := n.Search(reviewerQuery, ktg.SearchOptions{MaxNodes: 2})
-	if !errors.Is(err, ktg.ErrBudgetExhausted) {
-		t.Fatalf("err = %v, want ErrBudgetExhausted", err)
+	for _, alg := range []ktg.Algorithm{ktg.AlgVKCDeg, ktg.AlgBruteForce} {
+		res, err := n.Search(reviewerQuery, ktg.SearchOptions{Algorithm: alg, MaxNodes: 2})
+		if !errors.Is(err, ktg.ErrBudgetExhausted) {
+			t.Fatalf("%v: err = %v, want ErrBudgetExhausted", alg, err)
+		}
+		if res == nil || res.Stats.Nodes > 3 {
+			t.Fatalf("%v: result %+v, want the groups found within 2 nodes", alg, res)
+		}
 	}
 }
 

@@ -1,9 +1,12 @@
 package ktg
 
 import (
+	"cmp"
 	"context"
+	"errors"
 	"io"
 	"log/slog"
+	"strconv"
 	"time"
 
 	"ktg/internal/core"
@@ -23,7 +26,7 @@ func SetDefaultLogger(l *slog.Logger) { obs.SetLogger(l) }
 func NewRequestID() string { return obs.NewRequestID() }
 
 // WithRequestID returns a context carrying a request ID. Searches run
-// with this context (SearchOptions.Context) correlate their core-level
+// with this context (SearchOptions.Context) correlate their start/done
 // log lines with the ID even when no request-scoped logger was
 // injected, and server-side records pick it up end to end.
 func WithRequestID(ctx context.Context, id string) context.Context {
@@ -74,16 +77,49 @@ var (
 		"ktg_search_budget_exhausted_total", "searches aborted by MaxNodes/MaxDuration")
 )
 
-// recordSearch folds one finished search into the process-wide metrics.
-func recordSearch(dur time.Duration, s core.Stats, budgetHit bool) {
-	mSearches.Inc()
-	mSearchNanos.Observe(dur.Nanoseconds())
-	mSearchNodes.Add(s.Nodes)
-	mSearchPruned.Add(s.Pruned)
-	mSearchFiltered.Add(s.Filtered)
-	mSearchOracle.Add(s.OracleCalls)
-	mSearchFeasible.Add(s.Feasible)
-	if budgetHit {
-		mSearchExhausted.Inc()
+// observe is the one place a search's record becomes its observable
+// views. Every search entry point calls it before the core runs: it
+// resolves the logger (per-search, then per-Network, then the package
+// default) and logs the start. The function it returns takes the
+// search's Stats once the core has answered, and from that record
+// alone updates the ktg_search_* metrics, adds the phase child spans
+// to the span opts.Context carries, and logs the end, so logs, metrics
+// and traces cannot disagree with the Stats the caller gets.
+func (n *Network) observe(q core.Query, opts SearchOptions, algorithm string) func(st SearchStats, groups int, err error) {
+	logger := obs.OrCtx(opts.Context, cmp.Or(opts.Logger, n.logger))
+	logger.Debug("ktg: search start", "algorithm", algorithm,
+		"keywords", len(q.Keywords), "p", q.P, "k", q.K, "n", q.N)
+	span := obs.SpanFromContext(opts.Context)
+	start := time.Now()
+	return func(st SearchStats, groups int, err error) {
+		mSearches.Inc()
+		mSearchNanos.Observe(time.Since(start).Nanoseconds())
+		mSearchNodes.Add(st.Nodes)
+		mSearchPruned.Add(st.Pruned)
+		mSearchFiltered.Add(st.Filtered)
+		mSearchOracle.Add(st.DistanceChecks)
+		mSearchFeasible.Add(st.Feasible)
+		if errors.Is(err, ErrBudgetExhausted) {
+			mSearchExhausted.Inc()
+		}
+		if span != nil {
+			at := start
+			for _, p := range obs.Phases(st.CompileTime, st.CandidateTime, st.ExploreTime) {
+				var attrs []obs.Attr
+				if p.Phase == obs.PhaseExplore {
+					attrs = []obs.Attr{
+						{Key: "nodes", Value: strconv.FormatInt(st.Nodes, 10)},
+						{Key: "pruned", Value: strconv.FormatInt(st.Pruned, 10)},
+						{Key: "filtered", Value: strconv.FormatInt(st.Filtered, 10)},
+					}
+				}
+				span.AddCompletedChild(p.Phase, at, p.Duration, attrs...)
+				at = at.Add(p.Duration)
+			}
+		}
+		logger.Debug("ktg: search done", "algorithm", algorithm, "groups", groups,
+			"nodes", st.Nodes, "pruned", st.Pruned, "filtered", st.Filtered,
+			"distance_checks", st.DistanceChecks, "feasible", st.Feasible,
+			"explore", st.ExploreTime, "budget_hit", err != nil)
 	}
 }

@@ -1,11 +1,9 @@
 package ktg
 
 import (
-	"errors"
 	"fmt"
 	"strconv"
 	"strings"
-	"time"
 
 	"ktg/internal/core"
 )
@@ -14,12 +12,7 @@ import (
 // candidate frontier to one shard: frontier position p belongs to slice
 // Index iff p % Count == Index. Running SearchPartial once per slice of
 // a partition and merging with MergePartials reproduces Search exactly.
-type CandidateSlice struct {
-	// Index identifies this slice, 0 ≤ Index < Count.
-	Index int
-	// Count is the total number of slices in the partition.
-	Count int
-}
+type CandidateSlice = core.CandidateSlice
 
 // PartialOffer is one group accepted into a shard's local top-N heap,
 // tagged with its position in the deterministic exploration order. The
@@ -75,15 +68,12 @@ func (n *Network) SearchPartial(q Query, opts SearchOptions, slice CandidateSlic
 		return nil, fmt.Errorf("ktg: brute force cannot run as a partial search")
 	}
 	cq, copts := n.lower(q, opts)
-	start := time.Now()
-	pr, err := core.SearchPartial(n.g, n.attrs, cq, copts, core.CandidateSlice{
-		Index: slice.Index,
-		Count: slice.Count,
-	})
+	done := n.observe(cq, opts, opts.Algorithm.String())
+	pr, err := core.SearchPartial(n.g, n.attrs, cq, copts, slice)
 	if pr == nil {
 		return nil, err
 	}
-	recordSearch(time.Since(start), pr.Stats, errors.Is(err, ErrBudgetExhausted))
+	done(pr.Stats, len(pr.Groups), err)
 	out := &PartialResult{
 		Slice:        slice,
 		FrontierSize: pr.FrontierSize,
@@ -91,7 +81,7 @@ func (n *Network) SearchPartial(q Query, opts SearchOptions, slice CandidateSlic
 		Best:         pr.Best,
 		Threshold:    pr.Threshold,
 		Truncated:    pr.Truncated,
-		Stats:        liftStats(pr.Stats),
+		Stats:        pr.Stats,
 	}
 	for _, o := range pr.Offers {
 		out.Offers = append(out.Offers, PartialOffer{
@@ -117,16 +107,16 @@ func (n *Network) SearchPartial(q Query, opts SearchOptions, slice CandidateSlic
 func MergePartials(topN int, parts []*PartialResult) (res *Result, exact bool, err error) {
 	cparts := make([]*core.PartialResult, 0, len(parts))
 	covered := make(map[string][]string)
-	var stats SearchStats
 	for _, p := range parts {
 		if p == nil {
 			return nil, false, fmt.Errorf("ktg: merge got a nil partial result")
 		}
 		cp := &core.PartialResult{
-			Slice:        core.CandidateSlice{Index: p.Slice.Index, Count: p.Slice.Count},
+			Slice:        p.Slice,
 			FrontierSize: p.FrontierSize,
 			QueryWidth:   p.QueryWidth,
 			Truncated:    p.Truncated,
+			Stats:        p.Stats,
 		}
 		for _, o := range p.Offers {
 			cp.Offers = append(cp.Offers, core.PartialOffer{
@@ -137,13 +127,12 @@ func MergePartials(topN int, parts []*PartialResult) (res *Result, exact bool, e
 			covered[memberKey(o.Members)] = o.Covered
 		}
 		cparts = append(cparts, cp)
-		addStats(&stats, p.Stats)
 	}
 	cres, exact, err := core.MergePartials(topN, cparts)
 	if err != nil {
 		return nil, false, err
 	}
-	out := &Result{Stats: stats}
+	out := &Result{Stats: cres.Stats}
 	for _, g := range cres.Groups {
 		out.Groups = append(out.Groups, Group{
 			Members: append([]Vertex(nil), g.Members...),
@@ -165,29 +154,4 @@ func memberKey(members []Vertex) string {
 		b.WriteString(strconv.FormatUint(uint64(v), 10))
 	}
 	return b.String()
-}
-
-// addStats accumulates o into s (the public mirror of core.Stats.Add).
-func addStats(s *SearchStats, o SearchStats) {
-	s.Nodes += o.Nodes
-	s.Pruned += o.Pruned
-	s.Filtered += o.Filtered
-	s.DistanceChecks += o.DistanceChecks
-	s.Feasible += o.Feasible
-	s.CompileTime += o.CompileTime
-	s.CandidateTime += o.CandidateTime
-	s.ExploreTime += o.ExploreTime
-	s.DepthNodes = addDepthCounts(s.DepthNodes, o.DepthNodes)
-	s.DepthPruned = addDepthCounts(s.DepthPruned, o.DepthPruned)
-	s.DepthFiltered = addDepthCounts(s.DepthFiltered, o.DepthFiltered)
-}
-
-func addDepthCounts(dst, src []int64) []int64 {
-	for len(dst) < len(src) {
-		dst = append(dst, 0)
-	}
-	for i, v := range src {
-		dst[i] += v
-	}
-	return dst
 }

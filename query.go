@@ -2,7 +2,6 @@ package ktg
 
 import (
 	"context"
-	"errors"
 	"log/slog"
 	"slices"
 	"sort"
@@ -128,35 +127,12 @@ type Group struct {
 	QKC float64
 }
 
-// SearchStats reports search effort. The JSON field names are stable;
-// ktgquery -stats-json emits this struct verbatim.
-type SearchStats struct {
-	// Nodes is the number of branch-and-bound nodes explored.
-	Nodes int64 `json:"nodes"`
-	// Pruned counts subtrees cut by keyword pruning.
-	Pruned int64 `json:"pruned"`
-	// Filtered counts candidates removed by k-line filtering.
-	Filtered int64 `json:"filtered"`
-	// DistanceChecks counts calls to the distance index. The exact
-	// searches ask it about each pair of candidates at most once per
-	// search, while their distance memo stays within its 8 MiB budget.
-	DistanceChecks int64 `json:"distance_checks"`
-	// Feasible counts complete size-p groups evaluated.
-	Feasible int64 `json:"feasible"`
-	// CompileTime, CandidateTime, and ExploreTime break the search's
-	// wall clock into its phases: query keyword compilation, initial
-	// candidate-set construction, and branch-and-bound exploration.
-	CompileTime   time.Duration `json:"compile_ns"`
-	CandidateTime time.Duration `json:"candidate_ns"`
-	ExploreTime   time.Duration `json:"explore_ns"`
-	// DepthNodes, DepthPruned, and DepthFiltered histogram the search
-	// effort by depth: index d counts events at nodes whose
-	// intermediate group holds d members (index GroupSize marks
-	// complete groups). Empty for algorithms without a depth notion.
-	DepthNodes    []int64 `json:"depth_nodes,omitempty"`
-	DepthPruned   []int64 `json:"depth_pruned,omitempty"`
-	DepthFiltered []int64 `json:"depth_filtered,omitempty"`
-}
+// SearchStats is the record a search fills: effort counters, phase
+// timings and per-depth histograms. The JSON field names are stable;
+// ktgquery -stats-json emits this struct verbatim. The search's log
+// lines, ktg_search_* metrics and trace phase spans are all derived
+// from it.
+type SearchStats = core.Stats
 
 // Result is the output of a KTG search.
 type Result struct {
@@ -171,11 +147,11 @@ type Result struct {
 // empty result, not an error.
 func (n *Network) Search(q Query, opts SearchOptions) (*Result, error) {
 	cq, copts := n.lower(q, opts)
+	done := n.observe(cq, opts, opts.Algorithm.String())
 	var (
 		res *core.Result
 		err error
 	)
-	start := time.Now()
 	if opts.Algorithm == AlgBruteForce {
 		res, err = core.BruteForce(n.g, n.attrs, cq, copts)
 	} else {
@@ -184,7 +160,7 @@ func (n *Network) Search(q Query, opts SearchOptions) (*Result, error) {
 	if res == nil {
 		return nil, err
 	}
-	recordSearch(time.Since(start), res.Stats, errors.Is(err, ErrBudgetExhausted))
+	done(res.Stats, len(res.Groups), err)
 	return n.lift(res, q.Keywords), err
 }
 
@@ -218,7 +194,7 @@ type DiverseResult struct {
 // removed from the pool, so the returned groups never share members.
 func (n *Network) SearchDiverse(q Query, opts DiverseOptions) (*DiverseResult, error) {
 	cq, copts := n.lower(q, opts.SearchOptions)
-	start := time.Now()
+	done := n.observe(cq, opts.SearchOptions, "DKTG-Greedy")
 	dr, err := core.SearchDiverse(n.g, n.attrs, cq, core.DiverseOptions{
 		Options: copts,
 		Gamma:   opts.Gamma,
@@ -226,12 +202,12 @@ func (n *Network) SearchDiverse(q Query, opts DiverseOptions) (*DiverseResult, e
 	if dr == nil {
 		return nil, err
 	}
-	recordSearch(time.Since(start), dr.Stats, errors.Is(err, ErrBudgetExhausted))
+	done(dr.Stats, len(dr.Groups), err)
 	out := &DiverseResult{
 		Diversity: dr.Diversity,
 		MinQKC:    dr.MinQKC,
 		Score:     dr.Score,
-		Stats:     liftStats(dr.Stats),
+		Stats:     dr.Stats,
 	}
 	out.Groups = n.liftGroups(dr.Groups, dr.QueryWidth, q.Keywords)
 	return out, err
@@ -250,26 +226,25 @@ func (n *Network) SearchGreedy(q Query, idx DistanceIndex, seeds int) (*Result, 
 
 // SearchGreedyWith is SearchGreedy with full options: opts.Index,
 // opts.Context, opts.Probe, and opts.Logger are honored (the other
-// fields only apply to the exact algorithms). On cancellation the
-// groups completed so far are returned together with an error wrapping
-// ctx.Err().
+// fields only apply to the exact algorithms). Like Search, it logs,
+// counts and traces the search from its SearchStats; the trace holds
+// compile and explore phases, since greedy builds no candidate set. On
+// cancellation the groups completed so far are returned together with
+// an error wrapping ctx.Err().
 func (n *Network) SearchGreedyWith(q Query, opts SearchOptions, seeds int) (*Result, error) {
 	cq, copts := n.lower(q, opts)
 	gopts := core.GreedyOptions{
+		Oracle:  copts.Oracle,
 		Seeds:   seeds,
 		Context: opts.Context,
-		Logger:  copts.Logger,
 		Probe:   opts.Probe,
 	}
-	if opts.Index != nil {
-		gopts.Oracle = opts.Index
-	}
-	start := time.Now()
+	done := n.observe(cq, opts, "Greedy")
 	res, err := core.Greedy(n.g, n.attrs, cq, gopts)
 	if res == nil {
 		return nil, err
 	}
-	recordSearch(time.Since(start), res.Stats, false)
+	done(res.Stats, len(res.Groups), err)
 	return n.lift(res, q.Keywords), err
 }
 
@@ -318,19 +293,13 @@ func (n *Network) lower(q Query, opts SearchOptions) (core.Query, core.Options) 
 	if opts.Index != nil {
 		copts.Oracle = opts.Index
 	}
-	// Logger resolution: per-search beats per-Network beats the package
-	// default (applied inside core via obs.Or).
-	copts.Logger = opts.Logger
-	if copts.Logger == nil {
-		copts.Logger = n.logger
-	}
 	return cq, copts
 }
 
 func (n *Network) lift(res *core.Result, queryKeywords []string) *Result {
 	return &Result{
 		Groups: n.liftGroups(res.Groups, res.QueryWidth, queryKeywords),
-		Stats:  liftStats(res.Stats),
+		Stats:  res.Stats,
 	}
 }
 
@@ -386,22 +355,6 @@ func (n *Network) liftGroup(g core.Group, width int, queryKeywords []string) Gro
 		Members: append([]Vertex(nil), g.Members...),
 		Covered: covered,
 		QKC:     g.QKC(width),
-	}
-}
-
-func liftStats(s core.Stats) SearchStats {
-	return SearchStats{
-		Nodes:          s.Nodes,
-		Pruned:         s.Pruned,
-		Filtered:       s.Filtered,
-		DistanceChecks: s.OracleCalls,
-		Feasible:       s.Feasible,
-		CompileTime:    s.CompileTime,
-		CandidateTime:  s.CandidateTime,
-		ExploreTime:    s.ExploreTime,
-		DepthNodes:     append([]int64(nil), s.DepthNodes...),
-		DepthPruned:    append([]int64(nil), s.DepthPruned...),
-		DepthFiltered:  append([]int64(nil), s.DepthFiltered...),
 	}
 }
 

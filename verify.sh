@@ -10,6 +10,13 @@ cd "$(dirname "$0")"
 go build ./...
 go vet ./...
 test -z "$(gofmt -l .)"
+# The search core reports only through the Stats it returns and its
+# probe; the root package derives logs, metrics and trace spans from
+# them. Keep the core from logging or tracing on its own.
+if go list -f '{{join .Imports "\n"}}' ./internal/core | grep -Eqx 'ktg/internal/obs|log/slog'; then
+    echo "verify: internal/core imports ktg/internal/obs or log/slog" >&2
+    exit 1
+fi
 # staticcheck is best-effort: run it when installed, complain loudly (but
 # do not fail) when it is not, so CI images that carry it get the extra
 # signal without making it a local prerequisite.
