@@ -43,6 +43,19 @@ func FromIndices(n int, idx ...int) Set {
 	return s
 }
 
+// View returns a Set of width n over words, sharing their storage.
+// words must hold exactly the (n+63)/64 words New(n) would allocate.
+func View(words []uint64, n int) Set {
+	if len(words) != (n+wordBits-1)/wordBits {
+		panic("bitset: view words do not match its width")
+	}
+	return Set{words: words, n: n}
+}
+
+// Words returns the set's backing words, bit i in words[i/64]. The slice
+// must not be modified.
+func (s Set) Words() []uint64 { return s.words }
+
 // Width returns the number of bits the set can hold.
 func (s Set) Width() int { return s.n }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"time"
 
 	"ktg/internal/gen"
 	"ktg/internal/index"
@@ -63,18 +64,7 @@ func BenchmarkExplore(b *testing.B) {
 		})
 	})
 	b.Run("shard", func(b *testing.B) {
-		ds, idx, wl := presetWithIndex(b, 0.05)
-		var qs []Query
-		for _, p := range workload.SweepP {
-			for _, k := range workload.SweepK {
-				for _, w := range workload.SweepW {
-					for _, n := range workload.SweepN {
-						qs = append(qs, Query{Keywords: wl.QueryKeywords(w), P: p, K: k, N: n})
-					}
-				}
-			}
-		}
-		opts := Options{Oracle: idx, Ordering: OrderVKCDegree}
+		ds, qs, opts := shardBatch(b)
 		slice := CandidateSlice{Index: 0, Count: 2}
 		benchBatch(b, len(qs), func(i int) (Stats, error) {
 			r, err := SearchPartial(ds.Graph, ds.Attrs, qs[i], opts, slice)
@@ -84,6 +74,74 @@ func BenchmarkExplore(b *testing.B) {
 			return r.Stats, nil
 		})
 	})
+	// shard-setup runs only the query setup of the shard batch's two
+	// slices, 0/2 and 1/2: compile, S_R, the kernel and the root ranking.
+	// setup_ns/query is the mean CompileTime + CandidateTime of a slice.
+	b.Run("shard-setup", func(b *testing.B) {
+		ds, qs, opts := shardBatch(b)
+		var setup time.Duration
+		b.ResetTimer()
+		for it := 0; it < b.N; it++ {
+			for _, q := range qs {
+				for idx := 0; idx < 2; idx++ {
+					s, err := newSearcher(ds.Graph, ds.Attrs, q, opts, &CandidateSlice{Index: idx, Count: 2}, memoBudgetBytes)
+					if err != nil {
+						b.Fatal(err)
+					}
+					start := time.Now()
+					s.tally(0)
+					setup += s.stats.CompileTime + s.stats.CandidateTime + time.Since(start)
+				}
+			}
+		}
+		b.ReportMetric(float64(setup.Nanoseconds())/float64(2*len(qs)*b.N), "setup_ns/query")
+	})
+}
+
+// shardBatch returns the shard batch: the Table I grid on
+// Brightkite/0.05, capped KTG-VKC-DEG over NLRNL.
+func shardBatch(tb testing.TB) (*gen.Dataset, []Query, Options) {
+	ds, idx, wl := presetWithIndex(tb, 0.05)
+	var qs []Query
+	for _, p := range workload.SweepP {
+		for _, k := range workload.SweepK {
+			for _, w := range workload.SweepW {
+				for _, n := range workload.SweepN {
+					qs = append(qs, Query{Keywords: wl.QueryKeywords(w), P: p, K: k, N: n})
+				}
+			}
+		}
+	}
+	return ds, qs, Options{Oracle: idx, Ordering: OrderVKCDegree}
+}
+
+// BenchmarkMergePartials merges the recorded offer streams of the shard
+// batch's slices 0/2 and 1/2; one op merges all 500 queries.
+//
+//	go test ./internal/core -run '^$' -bench MergePartials -benchmem
+func BenchmarkMergePartials(b *testing.B) {
+	ds, qs, opts := shardBatch(b)
+	parts := make([][]*PartialResult, len(qs))
+	offers := 0
+	for i, q := range qs {
+		for idx := 0; idx < 2; idx++ {
+			pr, err := SearchPartial(ds.Graph, ds.Attrs, q, opts, CandidateSlice{Index: idx, Count: 2})
+			if err != nil {
+				b.Fatal(err)
+			}
+			parts[i] = append(parts[i], pr)
+			offers += len(pr.Offers)
+		}
+	}
+	b.ResetTimer()
+	for it := 0; it < b.N; it++ {
+		for i, q := range qs {
+			if _, exact, err := MergePartials(q.N, parts[i]); err != nil || !exact {
+				b.Fatalf("query %d: exact=%v err=%v", i, exact, err)
+			}
+		}
+	}
+	b.ReportMetric(float64(offers), "offers/op")
 }
 
 func benchBatch(b *testing.B, n int, search func(i int) (Stats, error)) {

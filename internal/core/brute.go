@@ -2,11 +2,10 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
+	"ktg/internal/bitset"
 	"ktg/internal/graph"
-	"ktg/internal/index"
 	"ktg/internal/keywords"
 )
 
@@ -15,32 +14,24 @@ import (
 // the correctness oracle for the branch-and-bound implementations and is
 // only practical on small graphs.
 func BruteForce(g graph.Topology, attrs *keywords.Attributes, q Query, opts Options) (*Result, error) {
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	if attrs.NumVertices() != g.NumVertices() {
-		return nil, fmt.Errorf("core: attributes cover %d vertices, graph has %d",
-			attrs.NumVertices(), g.NumVertices())
-	}
-	compileStart := time.Now()
-	kq, err := keywords.CompileQuery(attrs, q.Keywords)
+	kq, oracle, compileTime, err := prepare(g, attrs, q, opts.Oracle)
 	if err != nil {
 		return nil, err
 	}
-	oracle := opts.Oracle
-	if oracle == nil {
-		oracle = index.NewBFSOracle(g)
-	}
-	cands := kq.Candidates()
+	cands := kq.Members()
 	heap := newTopN(q.N)
-	var stats Stats
-	stats.CompileTime = time.Since(compileStart)
+	stats := Stats{CompileTime: compileTime}
 
 	var deadline time.Time
 	if opts.MaxDuration > 0 {
 		deadline = time.Now().Add(opts.MaxDuration)
 	}
 	group := make([]graph.Vertex, 0, q.P)
+	// cover[d] is the coverage of the group's first d members.
+	cover := make([]bitset.Set, q.P+1)
+	for d := range cover {
+		cover[d] = bitset.New(kq.Width())
+	}
 	// stopErr ends the enumeration: ErrBudgetExhausted once MaxNodes or
 	// MaxDuration is spent, or the context's error.
 	var stopErr error
@@ -61,7 +52,7 @@ func BruteForce(g graph.Topology, attrs *keywords.Attributes, q Query, opts Opti
 		}
 		if len(group) == q.P {
 			stats.Feasible++
-			heap.Offer(group, kq.GroupCoverageCount(group))
+			heap.Offer(group, cover[q.P].Count())
 			return
 		}
 		for i := start; i < len(cands); i++ {
@@ -80,6 +71,8 @@ func BruteForce(g graph.Topology, attrs *keywords.Attributes, q Query, opts Opti
 			if !ok {
 				continue
 			}
+			cover[len(group)+1].CopyFrom(cover[len(group)])
+			cover[len(group)+1].UnionWith(kq.MemberMask(i))
 			group = append(group, v)
 			recurse(i + 1)
 			group = group[:len(group)-1]
@@ -89,15 +82,9 @@ func BruteForce(g graph.Topology, attrs *keywords.Attributes, q Query, opts Opti
 	recurse(0)
 	stats.ExploreTime = time.Since(exploreStart)
 
-	groups := heap.Groups()
 	// Candidates are scanned in increasing id order, so each group's
-	// members are already sorted; normalize anyway for safety.
-	for i := range groups {
-		sort.Slice(groups[i].Members, func(a, b int) bool {
-			return groups[i].Members[a] < groups[i].Members[b]
-		})
-	}
-	res := &Result{Groups: groups, QueryWidth: kq.Width(), Stats: stats}
+	// members are already sorted.
+	res := &Result{Groups: heap.Groups(), QueryWidth: kq.Width(), Compiled: kq, Stats: stats}
 	if stopErr != nil {
 		return res, fmt.Errorf("brute force stopped after %d nodes: %w", stats.Nodes, stopErr)
 	}

@@ -6,9 +6,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"ktg/internal/graph"
@@ -110,7 +111,6 @@ type Options struct {
 	// with an error wrapping ctx.Err(). nil disables the checks.
 	Context context.Context
 	// ExcludeVertices are removed from the candidate pool outright.
-	// DKTG-Greedy uses this to keep result groups disjoint.
 	ExcludeVertices []graph.Vertex
 	// QueryVertices models the paper's multi-query-vertex extension
 	// (Section IV "Discussion"): the authors of the paper under
@@ -155,8 +155,8 @@ type Stats struct {
 	Filtered int64 `json:"filtered"`
 	// DistanceChecks counts calls to the distance oracle. The exact
 	// searches ask it about each unordered pair of candidates at most
-	// once per search, while their distance memo stays within its
-	// 8 MiB budget.
+	// once per search, DKTG-Greedy once per query, while their distance
+	// memo stays within its 8 MiB budget.
 	DistanceChecks int64 `json:"distance_checks"`
 	// Feasible counts complete size-p groups evaluated.
 	Feasible int64 `json:"feasible"`
@@ -212,6 +212,8 @@ type Result struct {
 	Groups []Group
 	// QueryWidth is |W_Q| after deduplication, the QKC denominator.
 	QueryWidth int
+	// Compiled is the compiled query the search ran on; nil when merged.
+	Compiled *keywords.Query
 	// Stats reports search effort.
 	Stats Stats
 }
@@ -227,19 +229,7 @@ func (r *Result) Best() int {
 // sortGroups orders groups by descending coverage, then ascending member
 // ids for determinism.
 func sortGroups(groups []Group) {
-	sort.SliceStable(groups, func(i, j int) bool {
-		if groups[i].Coverage != groups[j].Coverage {
-			return groups[i].Coverage > groups[j].Coverage
-		}
-		return lessMembers(groups[i].Members, groups[j].Members)
+	slices.SortStableFunc(groups, func(a, b Group) int {
+		return cmp.Or(cmp.Compare(b.Coverage, a.Coverage), slices.Compare(a.Members, b.Members))
 	})
-}
-
-func lessMembers(a, b []graph.Vertex) bool {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"ktg/internal/graph"
 	"ktg/internal/keywords"
@@ -25,6 +26,8 @@ type DiverseResult struct {
 	Groups []Group
 	// QueryWidth is |W_Q| after deduplication.
 	QueryWidth int
+	// Compiled is the compiled query the searches ran on.
+	Compiled *keywords.Query
 	// Diversity is dL(RG), the mean pairwise Jaccard distance
 	// (Equation 3); 1 when all groups are disjoint.
 	Diversity float64
@@ -40,24 +43,21 @@ type DiverseResult struct {
 // union of members not shared by both groups. Two empty groups have
 // distance 0 (they are identical).
 func JaccardDistance(g1, g2 []graph.Vertex) float64 {
-	seen := make(map[graph.Vertex]int, len(g1)+len(g2))
+	in := make(map[graph.Vertex]uint8, len(g1)+len(g2)) // bit i: in group i+1
 	for _, v := range g1 {
-		seen[v] = 1
+		in[v] |= 1
 	}
 	inter := 0
 	for _, v := range g2 {
-		if seen[v] == 1 {
-			seen[v] = 2
+		if in[v] == 1 {
 			inter++
-		} else if _, ok := seen[v]; !ok {
-			seen[v] = 3
 		}
+		in[v] |= 2
 	}
-	union := len(seen)
-	if union == 0 {
+	if len(in) == 0 {
 		return 0
 	}
-	return float64(union-inter) / float64(union)
+	return float64(len(in)-inter) / float64(len(in))
 }
 
 // DiversityScore returns dL(RG) of Equation 3: the average pairwise
@@ -82,13 +82,19 @@ func TotalScore(groups []Group, queryWidth int, gamma float64) float64 {
 	if len(groups) == 0 {
 		return 0
 	}
-	minQKC := 1.0
-	for _, g := range groups {
-		if q := g.QKC(queryWidth); q < minQKC {
-			minQKC = q
-		}
+	return gamma*minQKC(groups, queryWidth) + (1-gamma)*DiversityScore(groups)
+}
+
+// minQKC returns min_{g∈RG} QKC(g), or 0 without groups.
+func minQKC(groups []Group, queryWidth int) float64 {
+	if len(groups) == 0 {
+		return 0
 	}
-	return gamma*minQKC + (1-gamma)*DiversityScore(groups)
+	m := 1.0
+	for _, g := range groups {
+		m = min(m, g.QKC(queryWidth))
+	}
+	return m
 }
 
 // SearchDiverse answers a DKTG query (Definition 10) with the paper's
@@ -98,6 +104,11 @@ func TotalScore(groups []Group, queryWidth int, gamma float64) float64 {
 // groups of lower coverage when the pool no longer supports the current
 // maximum (the paper's fallback strategy (2)). It stops early when no
 // feasible disjoint group remains, returning fewer than N groups.
+//
+// The top-1 searches share one setup and one distance memo, and query
+// vertices are checked once. Each runs with a fresh heap and budget on
+// the pool its predecessors left; removing their members keeps the rest
+// in rank order, so it explores the tree of a search that excluded them.
 func SearchDiverse(g graph.Topology, attrs *keywords.Attributes, q Query, opts DiverseOptions) (*DiverseResult, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
@@ -105,48 +116,43 @@ func SearchDiverse(g graph.Topology, attrs *keywords.Attributes, q Query, opts D
 	if opts.Gamma < 0 || opts.Gamma > 1 {
 		return nil, fmt.Errorf("core: gamma must be in [0,1], got %v", opts.Gamma)
 	}
-	perGroup := opts.Options
-	perGroup.ExcludeVertices = append([]graph.Vertex(nil), opts.ExcludeVertices...)
-
-	res := &DiverseResult{}
+	top1 := q
+	top1.N = 1
+	s, err := newSearcher(g, attrs, top1, opts.Options, nil, memoBudgetBytes)
+	if err != nil {
+		return nil, err
+	}
+	pool := slices.Clone(s.rem[0])
+	res := &DiverseResult{QueryWidth: s.kq.Width(), Compiled: s.kq}
 	for len(res.Groups) < q.N {
-		sub := q
-		sub.N = 1
-		r, err := Search(g, attrs, sub, perGroup)
-		if r == nil {
-			// Validation or compile failure: nothing partial to keep.
-			return nil, err
+		if len(res.Groups) > 0 {
+			s.reset()
 		}
-		res.QueryWidth = r.QueryWidth
-		res.Stats.Add(r.Stats)
-		if len(r.Groups) > 0 {
-			best := r.Groups[0]
+		copy(s.rem[0], pool)
+		s.search()
+		res.Stats.Add(s.stats)
+		groups := s.heap.Groups()
+		if len(groups) > 0 {
+			best := groups[0]
 			res.Groups = append(res.Groups, best)
-			perGroup.ExcludeVertices = append(perGroup.ExcludeVertices, best.Members...)
+			for id, v := range s.verts {
+				if slices.Contains(best.Members, v) {
+					pool[id>>6] &^= 1 << (id & 63)
+				}
+			}
 		}
-		if err != nil {
-			// Budget exhausted or context cancelled mid-greedy: return
-			// what we have.
-			res.finishScores(opts.Gamma)
-			return res, err
-		}
-		if len(r.Groups) == 0 {
+		// A budget exhausted or a context cancelled mid-greedy returns
+		// what we have.
+		if err = s.finishErr(); err != nil || len(groups) == 0 {
 			break
 		}
 	}
 	res.finishScores(opts.Gamma)
-	return res, nil
+	return res, err
 }
 
 func (r *DiverseResult) finishScores(gamma float64) {
 	r.Diversity = DiversityScore(r.Groups)
-	if len(r.Groups) > 0 {
-		r.MinQKC = 1
-		for _, g := range r.Groups {
-			if q := g.QKC(r.QueryWidth); q < r.MinQKC {
-				r.MinQKC = q
-			}
-		}
-	}
+	r.MinQKC = minQKC(r.Groups, r.QueryWidth)
 	r.Score = gamma*r.MinQKC + (1-gamma)*r.Diversity
 }

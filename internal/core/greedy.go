@@ -1,10 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"ktg/internal/graph"
@@ -41,63 +42,31 @@ type GreedyOptions struct {
 // is acceptable. The gap is measured against the exact algorithms in
 // the test suite and benchmarks.
 func Greedy(g graph.Topology, attrs *keywords.Attributes, q Query, opts GreedyOptions) (*Result, error) {
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	if attrs.NumVertices() != g.NumVertices() {
-		return nil, fmt.Errorf("core: attributes cover %d vertices, graph has %d",
-			attrs.NumVertices(), g.NumVertices())
-	}
-	compileStart := time.Now()
-	kq, err := keywords.CompileQuery(attrs, q.Keywords)
+	kq, oracle, compileTime, err := prepare(g, attrs, q, opts.Oracle)
 	if err != nil {
 		return nil, err
-	}
-	compileTime := time.Since(compileStart)
-	oracle := opts.Oracle
-	if oracle == nil {
-		oracle = index.NewBFSOracle(g)
 	}
 	seeds := opts.Seeds
 	if seeds <= 0 {
 		seeds = 4 * q.N
 	}
 
-	type cand struct {
-		v   graph.Vertex
-		cov int32
-		deg int32
+	base := make([]greedyCand, len(kq.Members()))
+	for i, v := range kq.Members() {
+		base[i] = greedyCand{v, i, int32(kq.MemberMask(i).Count()), int32(g.Degree(v))}
 	}
-	base := make([]cand, 0, 64)
-	for _, v := range kq.Candidates() {
-		base = append(base, cand{v, int32(kq.CoverageCount(v)), int32(g.Degree(v))})
-	}
-	sort.Slice(base, func(i, j int) bool {
-		a, b := base[i], base[j]
-		if a.cov != b.cov {
-			return a.cov > b.cov
-		}
-		if a.deg != b.deg {
-			return a.deg < b.deg
-		}
-		return a.v < b.v
-	})
+	slices.SortFunc(base, bySeedOrder)
 
-	var stats Stats
-	stats.CompileTime = compileTime
+	stats := Stats{CompileTime: compileTime}
 	heap := newTopN(q.N)
 	seen := map[string]bool{}
-	pool := make([]cand, 0, len(base))
+	pool := make([]greedyCand, 0, len(base))
 	group := make([]graph.Vertex, 0, q.P)
 
 	probe := opts.Probe
 	if probe != nil {
-		owned := seeds
-		if len(base) < owned {
-			owned = len(base)
-		}
 		probe.begin()
-		probe.setFrontier(owned, len(base))
+		probe.setFrontier(min(seeds, len(base)), len(base))
 	}
 
 	var ctxErr error
@@ -115,7 +84,7 @@ func Greedy(g graph.Topology, attrs *keywords.Attributes, q Query, opts GreedyOp
 			}
 		}
 		group = append(group[:0], base[s].v)
-		covered := kq.Mask(base[s].v).Clone()
+		covered := kq.MemberMask(base[s].pos).Clone()
 		// Pool: everyone except the seed, in base order.
 		pool = pool[:0]
 		pool = append(pool, base[:s]...)
@@ -125,7 +94,7 @@ func Greedy(g graph.Topology, attrs *keywords.Attributes, q Query, opts GreedyOp
 			bestIdx := -1
 			var bestVKC, bestDeg int32
 			for i, c := range pool {
-				vkc := int32(kq.VKCCount(c.v, covered))
+				vkc := int32(kq.MemberMask(c.pos).CountDifference(covered))
 				if bestIdx >= 0 && (vkc < bestVKC || (vkc == bestVKC && c.deg >= bestDeg)) {
 					continue
 				}
@@ -147,7 +116,7 @@ func Greedy(g graph.Topology, attrs *keywords.Attributes, q Query, opts GreedyOp
 			}
 			chosen := pool[bestIdx]
 			group = append(group, chosen.v)
-			covered.UnionWith(kq.Mask(chosen.v))
+			covered.UnionWith(kq.MemberMask(chosen.pos))
 			pool = append(pool[:bestIdx], pool[bestIdx+1:]...)
 		}
 		stats.Nodes++
@@ -159,7 +128,7 @@ func Greedy(g graph.Topology, attrs *keywords.Attributes, q Query, opts GreedyOp
 			continue
 		}
 		members := append([]graph.Vertex(nil), group...)
-		sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
+		slices.Sort(members)
 		key := fmt.Sprint(members)
 		if seen[key] {
 			continue
@@ -172,9 +141,23 @@ func Greedy(g graph.Topology, attrs *keywords.Attributes, q Query, opts GreedyOp
 	}
 	stats.ExploreTime = time.Since(exploreStart)
 	probe.endSearch(stats, kq.Width())
-	res := &Result{Groups: heap.Groups(), QueryWidth: kq.Width(), Stats: stats}
+	res := &Result{Groups: heap.Groups(), QueryWidth: kq.Width(), Compiled: kq, Stats: stats}
 	if ctxErr != nil {
 		return res, fmt.Errorf("greedy search cancelled after %d seeds: %w", stats.Nodes, ctxErr)
 	}
 	return res, nil
+}
+
+// greedyCand is a candidate of the greedy searches: a vertex with its
+// coverage count, its degree and its index in S_R (-1 outside it).
+type greedyCand struct {
+	v        graph.Vertex
+	pos      int
+	cov, deg int32
+}
+
+// bySeedOrder ranks seeds by descending coverage, then ascending degree
+// and id: the seed order of Greedy and TAGQ.
+func bySeedOrder(a, b greedyCand) int {
+	return cmp.Or(cmp.Compare(b.cov, a.cov), cmp.Compare(a.deg, b.deg), cmp.Compare(a.v, b.v))
 }

@@ -67,6 +67,8 @@ type PartialResult struct {
 	FrontierSize int
 	// QueryWidth is |W_Q| after deduplication.
 	QueryWidth int
+	// Compiled is the compiled query the shard searched.
+	Compiled *keywords.Query
 	// Best is the highest coverage in the local heap (0 when empty).
 	Best int
 	// Threshold is the local C_max bound: the N-th best local coverage,
@@ -97,7 +99,7 @@ func SearchPartial(g graph.Topology, attrs *keywords.Attributes, q Query, opts O
 	if err := slice.Validate(); err != nil {
 		return nil, err
 	}
-	s, err := run(g, attrs, q, opts, &slice)
+	s, err := runWithMemo(g, attrs, q, opts, &slice, memoBudgetBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -105,6 +107,7 @@ func SearchPartial(g graph.Topology, attrs *keywords.Attributes, q Query, opts O
 		Slice:        slice,
 		FrontierSize: s.frontier,
 		QueryWidth:   s.kq.Width(),
+		Compiled:     s.kq,
 		Threshold:    s.heap.Threshold(),
 		Truncated:    s.budgetHit,
 		Offers:       s.offers,

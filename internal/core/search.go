@@ -33,134 +33,148 @@ const (
 // cover at least one query keyword, ranked by descending joint coverage.
 // If fewer than N feasible groups exist, all of them are returned.
 func Search(g graph.Topology, attrs *keywords.Attributes, q Query, opts Options) (*Result, error) {
-	s, err := run(g, attrs, q, opts, nil)
+	s, err := runWithMemo(g, attrs, q, opts, nil, memoBudgetBytes)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{
-		Groups:     s.heap.Groups(),
-		QueryWidth: s.kq.Width(),
-		Stats:      s.stats,
-	}
-	return res, s.finishErr()
+	return &Result{Groups: s.heap.Groups(), QueryWidth: s.kq.Width(), Compiled: s.kq, Stats: s.stats}, s.finishErr()
 }
 
-// run performs the shared branch-and-bound machinery behind Search and
-// SearchPartial: validation, query compilation, frontier construction,
-// and exploration. A nil slice explores the whole frontier; a non-nil
-// slice restricts depth-0 roots to the assigned stride and records the
-// accepted-offer stream for MergePartials.
-func run(g graph.Topology, attrs *keywords.Attributes, q Query, opts Options, slice *CandidateSlice) (*searcher, error) {
-	return runWithMemo(g, attrs, q, opts, slice, memoBudgetBytes)
-}
-
-// runWithMemo is run with an explicit distance-memo budget in bytes.
+// runWithMemo runs Search or SearchPartial under a distance-memo budget
+// in bytes: setup, then one search over the root frontier. A non-nil
+// slice restricts depth-0 roots to its stride and records the accepted
+// offers for MergePartials.
 func runWithMemo(g graph.Topology, attrs *keywords.Attributes, q Query, opts Options, slice *CandidateSlice, memoBudget int) (*searcher, error) {
-	if err := q.Validate(); err != nil {
+	s, err := newSearcher(g, attrs, q, opts, slice, memoBudget)
+	if err != nil {
 		return nil, err
 	}
-	if attrs.NumVertices() != g.NumVertices() {
-		return nil, fmt.Errorf("core: attributes cover %d vertices, graph has %d",
-			attrs.NumVertices(), g.NumVertices())
+	s.search()
+	return s, nil
+}
+
+// newSearcher validates the query, compiles it, and builds the kernel
+// over S_R: the members that survive ExcludeVertices and QueryVertices,
+// with local ids in the ordering's rank, their keyword holder sets, all
+// of them in rem[0], and an empty distance memo.
+func newSearcher(g graph.Topology, attrs *keywords.Attributes, q Query, opts Options, slice *CandidateSlice, memoBudget int) (*searcher, error) {
+	kq, oracle, compileTime, err := prepare(g, attrs, q, opts.Oracle)
+	if err != nil {
+		return nil, err
 	}
 	for _, qv := range opts.QueryVertices {
 		if int(qv) >= g.NumVertices() {
 			return nil, fmt.Errorf("core: query vertex %d out of range [0,%d)", qv, g.NumVertices())
 		}
 	}
-	compileStart := time.Now()
-	kq, err := keywords.CompileQuery(attrs, q.Keywords)
-	if err != nil {
-		return nil, err
-	}
-	compileTime := time.Since(compileStart)
-	oracle := opts.Oracle
-	if oracle == nil {
-		oracle = index.NewBFSOracle(g)
-	}
 	s := &searcher{
-		q:        q,
-		kq:       kq,
-		oracle:   oracle,
-		ordering: opts.Ordering,
-		pruning:  !opts.DisableKeywordPruning,
-		uncapped: opts.UncappedPruneBound,
-		maxNodes: opts.MaxNodes,
-		probe:    opts.Probe,
-		slice:    slice,
-		heap:     newTopN(q.N),
-		si:       make([]graph.Vertex, 0, q.P),
+		q:           q,
+		kq:          kq,
+		oracle:      oracle,
+		ordering:    opts.Ordering,
+		pruning:     !opts.DisableKeywordPruning,
+		uncapped:    opts.UncappedPruneBound,
+		maxNodes:    opts.MaxNodes,
+		maxDuration: opts.MaxDuration,
+		ctx:         opts.Context,
+		probe:       opts.Probe,
+		slice:       slice,
+		si:          make([]graph.Vertex, 0, q.P),
 	}
+	s.reset()
 	s.stats.CompileTime = compileTime
-	if opts.MaxDuration > 0 {
-		s.deadline = time.Now().Add(opts.MaxDuration)
-		s.hasDeadline = true
-	}
-	s.ctx = opts.Context
-	s.checkAbort = s.hasDeadline || s.ctx != nil
-	s.stats.DepthNodes = make([]int64, q.P+1)
-	s.stats.DepthPruned = make([]int64, q.P+1)
-	s.stats.DepthFiltered = make([]int64, q.P+1)
 
 	candStart := time.Now()
 	// Initial S_R: vertices covering at least one query keyword, minus
 	// explicit exclusions and anyone socially close to a query vertex.
-	var excluded []bool
-	if len(opts.ExcludeVertices) > 0 {
-		excluded = make([]bool, g.NumVertices())
-		for _, v := range opts.ExcludeVertices {
-			if int(v) < len(excluded) {
-				excluded[v] = true
-			}
+	// ties[i] is member i's tie key, or -1 once dropped: local ids follow
+	// the ordering's tie-break, so "key descending, then local id" is the
+	// full ranking. The root's keys are the static coverage counts.
+	sr, maxTie := kq.Members(), int32(0)
+	ties := make([]int32, len(sr))
+	for _, v := range opts.ExcludeVertices {
+		if i := kq.Position(v); i >= 0 {
+			ties[i] = -1
 		}
 	}
-	sr := kq.Candidates()
-	kept := sr[:0]
-	for _, v := range sr {
-		if excluded != nil && excluded[v] {
-			continue
+	for i, v := range sr {
+		switch {
+		case ties[i] < 0:
+		case s.nearQueryVertex(v, opts.QueryVertices):
+			ties[i] = -1
+		case s.ordering == OrderVKCDegree:
+			ties[i] = int32(g.Degree(v))
+		case s.ordering == OrderQKC:
+			ties[i] = int32(kq.Width() - kq.MemberMask(i).Count())
 		}
-		nearQueryVertex := false
-		for _, qv := range opts.QueryVertices {
-			s.stats.DistanceChecks++
-			if oracle.Within(qv, v, q.K) {
-				nearQueryVertex = true
-				break
-			}
-		}
-		if nearQueryVertex {
-			s.stats.Filtered++
-			continue
-		}
-		kept = append(kept, v)
+		maxTie = max(maxTie, ties[i])
 	}
-	// Local ids follow the ordering's tie-break, so "key descending, then
-	// local id" is the full ranking. VKC w.r.t. the empty group equals the
-	// static coverage count, which ranks the root.
-	switch s.ordering {
-	case OrderVKCDegree:
-		kept = orderStable(kept, func(v graph.Vertex) int { return g.Degree(v) })
-	case OrderQKC:
-		w := kq.Width()
-		kept = orderStable(kept, func(v graph.Vertex) int { return w - kq.CoverageCount(v) })
-	}
-	s.initKernel(kept, memoBudget)
-	s.frontier = len(kept)
-	s.tally(0)
+	s.initKernel(ties, maxTie, memoBudget)
 	s.stats.CandidateTime = time.Since(candStart)
+	return s, nil
+}
+
+// prepare is every algorithm's preamble: it validates q against g and
+// attrs, replaces a nil oracle with the index-free BFS oracle, and
+// compiles the query keywords, timing the compile.
+func prepare(g graph.Topology, attrs *keywords.Attributes, q Query, oracle index.Oracle) (*keywords.Query, index.Oracle, time.Duration, error) {
+	if err := q.Validate(); err != nil {
+		return nil, nil, 0, err
+	}
+	if attrs.NumVertices() != g.NumVertices() {
+		return nil, nil, 0, fmt.Errorf("core: attributes cover %d vertices, graph has %d",
+			attrs.NumVertices(), g.NumVertices())
+	}
+	if oracle == nil {
+		oracle = index.NewBFSOracle(g)
+	}
+	start := time.Now()
+	kq, err := keywords.CompileQuery(attrs, q.Keywords)
+	return kq, oracle, time.Since(start), err
+}
+
+// nearQueryVertex reports whether v is within K of a query vertex,
+// counting the oracle calls, and v's removal when it is.
+func (s *searcher) nearQueryVertex(v graph.Vertex, qvs []graph.Vertex) bool {
+	for _, qv := range qvs {
+		s.stats.DistanceChecks++
+		if s.oracle.Within(qv, v, s.q.K) {
+			s.stats.Filtered++
+			return true
+		}
+	}
+	return false
+}
+
+// reset readies the searcher for a fresh search over rem[0]: an empty
+// heap, zeroed stats and a new deadline. The kernel and the memo stay.
+func (s *searcher) reset() {
+	s.heap = newTopN(s.q.N)
+	s.stats = Stats{
+		DepthNodes:    make([]int64, s.q.P+1),
+		DepthPruned:   make([]int64, s.q.P+1),
+		DepthFiltered: make([]int64, s.q.P+1),
+	}
+	if s.maxDuration > 0 {
+		s.deadline = time.Now().Add(s.maxDuration)
+	}
+	s.checkAbort = s.maxDuration > 0 || s.ctx != nil
+}
+
+// search runs the branch-and-bound over the root candidates in rem[0]:
+// it ranks them, then explores. Search and SearchPartial run it once,
+// SearchDiverse once per result group over one kernel and memo.
+func (s *searcher) search() {
+	candStart := time.Now()
+	s.frontier = popcount(s.rem[0])
+	s.tally(0)
+	s.stats.CandidateTime += time.Since(candStart)
 	if s.probe != nil {
 		// Owned depth-0 iterations: the root loop runs for i in
 		// [0, frontier-P], and a partial search strides it by its slice.
-		iters := s.frontier - q.P + 1
-		if iters < 0 {
-			iters = 0
-		}
-		owned := iters
-		if slice != nil {
-			owned = 0
-			if iters > slice.Index {
-				owned = (iters - slice.Index + slice.Count - 1) / slice.Count
-			}
+		owned := max(s.frontier-s.q.P+1, 0)
+		if s.slice != nil {
+			owned = max(owned-s.slice.Index+s.slice.Count-1, 0) / s.slice.Count
 		}
 		s.probe.begin()
 		s.probe.setFrontier(owned, s.frontier)
@@ -179,32 +193,6 @@ func runWithMemo(g graph.Topology, attrs *keywords.Attributes, q Query, opts Opt
 	}
 	s.stats.ExploreTime = time.Since(exploreStart)
 	s.probe.endSearch(s.stats, s.kq.Width())
-	return s, nil
-}
-
-// orderStable sorts vs by ascending non-negative key with a stable
-// counting sort.
-func orderStable(vs []graph.Vertex, key func(graph.Vertex) int) []graph.Vertex {
-	maxKey := 0
-	for _, v := range vs {
-		if k := key(v); k > maxKey {
-			maxKey = k
-		}
-	}
-	start := make([]int32, maxKey+2)
-	for _, v := range vs {
-		start[key(v)+1]++
-	}
-	for k := 1; k < len(start); k++ {
-		start[k] += start[k-1]
-	}
-	out := make([]graph.Vertex, len(vs))
-	for _, v := range vs {
-		k := key(v)
-		out[start[k]] = v
-		start[k]++
-	}
-	return out
 }
 
 // abortCause names why the search stopped early, for explain-plan
@@ -244,10 +232,10 @@ type searcher struct {
 	pruning     bool
 	uncapped    bool
 	maxNodes    int64
+	maxDuration time.Duration
 	deadline    time.Time
-	hasDeadline bool
 	ctx         context.Context
-	checkAbort  bool // hasDeadline || ctx != nil
+	checkAbort  bool // maxDuration > 0 || ctx != nil
 	ctxErr      error
 	probe       *Probe
 
@@ -286,22 +274,38 @@ type searcher struct {
 	budgetHit bool
 }
 
-// initKernel assigns local ids to S_R in the given order and allocates
-// the per-depth bitsets, the keyword holder sets and the distance memo.
-func (s *searcher) initKernel(sr []graph.Vertex, memoBudget int) {
-	n, width, p := len(sr), s.kq.Width(), s.q.P
+// initKernel assigns local ids to the S_R members with a tie key, at
+// most maxTie, by ascending key and then position (a counting sort), and
+// allocates the per-depth bitsets, the keyword holder sets (filled from
+// the members' masks) and the distance memo.
+func (s *searcher) initKernel(ties []int32, maxTie int32, memoBudget int) {
+	next := make([]int32, maxTie+2)
+	for _, t := range ties {
+		if t >= 0 {
+			next[t+1]++
+		}
+	}
+	for t := 1; t < len(next); t++ {
+		next[t] += next[t-1]
+	}
+	n, width, p := int(next[maxTie+1]), s.kq.Width(), s.q.P
 	words, kw := (n+63)>>6, (width+63)>>6
-	s.verts = sr
-	s.words = words
-	s.holders = make([]uint64, width*words)
-	for id, v := range sr {
-		m := s.kq.Mask(v)
-		for j := 0; j < width; j++ {
-			if m.Contains(j) {
-				s.holders[j*words+id>>6] |= 1 << (id & 63)
+	sr, verts, holders := s.kq.Members(), make([]graph.Vertex, n), make([]uint64, width*words)
+	for i, t := range ties {
+		if t < 0 {
+			continue
+		}
+		id := int(next[t])
+		next[t]++
+		verts[id] = sr[i]
+		for w, m := range s.kq.MemberMask(i).Words() {
+			for ; m != 0; m &= m - 1 {
+				j := w<<6 | bits.TrailingZeros64(m)
+				holders[j*words+id>>6] |= 1 << (id & 63)
 			}
 		}
 	}
+	s.verts, s.words, s.holders = verts, words, holders
 	s.rem = make([][]uint64, p+1)
 	s.cover = make([][]uint64, p+1)
 	remWords := make([]uint64, (p+1)*words)
@@ -310,8 +314,8 @@ func (s *searcher) initKernel(sr []graph.Vertex, memoBudget int) {
 		s.rem[d] = remWords[d*words : (d+1)*words]
 		s.cover[d] = coverWords[d*kw : (d+1)*kw]
 	}
-	for id := 0; id < n; id++ {
-		s.rem[0][id>>6] |= 1 << (id & 63)
+	for id := 0; id < n; id += 64 {
+		s.rem[0][id>>6] = ^uint64(0) >> max(id+64-n, 0)
 	}
 	s.list = make([][]candidate, p)
 	s.counts = make([]int, width+1)
@@ -324,7 +328,7 @@ func (s *searcher) initKernel(sr []graph.Vertex, memoBudget int) {
 // final result. Callers gate it behind checkAbort plus a counter mask,
 // so the hot path pays at most one branch per node.
 func (s *searcher) aborted() bool {
-	if s.hasDeadline && time.Now().After(s.deadline) {
+	if s.maxDuration > 0 && time.Now().After(s.deadline) {
 		return true
 	}
 	if s.ctx != nil {

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"ktg/internal/graph"
 	"ktg/internal/index"
@@ -32,7 +32,8 @@ type TAGQOptions struct {
 // The reference system is closed source; this greedy reimplementation
 // reproduces the objective, which is all the case study exercises.
 func TAGQ(g graph.Topology, attrs *keywords.Attributes, q Query, opts TAGQOptions) (*Result, error) {
-	if err := q.Validate(); err != nil {
+	kq, oracle, _, err := prepare(g, attrs, q, opts.Oracle)
+	if err != nil {
 		return nil, err
 	}
 	if opts.TenuityBudget < 0 || opts.TenuityBudget > 1 {
@@ -41,14 +42,6 @@ func TAGQ(g graph.Topology, attrs *keywords.Attributes, q Query, opts TAGQOption
 	if opts.TenuityBudget == 0 {
 		opts.TenuityBudget = 0.34
 	}
-	kq, err := keywords.CompileQuery(attrs, q.Keywords)
-	if err != nil {
-		return nil, err
-	}
-	oracle := opts.Oracle
-	if oracle == nil {
-		oracle = index.NewBFSOracle(g)
-	}
 	totalPairs := q.P * (q.P - 1) / 2
 	maxClose := int(opts.TenuityBudget * float64(totalPairs))
 
@@ -56,26 +49,14 @@ func TAGQ(g graph.Topology, attrs *keywords.Attributes, q Query, opts TAGQOption
 	// KTG, vertices covering nothing stay in the pool (after all the
 	// covering ones), which is how zero-coverage members leak into
 	// results.
-	type cand struct {
-		v   graph.Vertex
-		cov int
-		deg int
+	cands := make([]greedyCand, g.NumVertices())
+	for v := range cands {
+		cands[v] = greedyCand{graph.Vertex(v), -1, 0, int32(g.Degree(graph.Vertex(v)))}
 	}
-	n := g.NumVertices()
-	cands := make([]cand, 0, n)
-	for v := 0; v < n; v++ {
-		cands = append(cands, cand{graph.Vertex(v), kq.CoverageCount(graph.Vertex(v)), g.Degree(graph.Vertex(v))})
+	for i, v := range kq.Members() {
+		cands[v].pos, cands[v].cov = i, int32(kq.MemberMask(i).Count())
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		a, b := cands[i], cands[j]
-		if a.cov != b.cov {
-			return a.cov > b.cov
-		}
-		if a.deg != b.deg {
-			return a.deg < b.deg
-		}
-		return a.v < b.v
-	})
+	slices.SortFunc(cands, bySeedOrder)
 
 	var stats Stats
 	used := make(map[graph.Vertex]bool)
@@ -89,7 +70,7 @@ func TAGQ(g graph.Topology, attrs *keywords.Attributes, q Query, opts TAGQOption
 		}
 		members := []graph.Vertex{seed.v}
 		closePairs := 0
-		covered := kq.GroupMask(members)
+		covered := kq.MemberMask(seed.pos).Clone()
 		for _, c := range cands {
 			if len(members) == q.P {
 				break
@@ -109,17 +90,17 @@ func TAGQ(g graph.Topology, attrs *keywords.Attributes, q Query, opts TAGQOption
 			}
 			members = append(members, c.v)
 			closePairs += add
-			covered.UnionWith(kq.Mask(c.v))
+			covered.UnionWith(kq.MemberMask(c.pos))
 		}
 		if len(members) < q.P {
 			continue
 		}
-		sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
+		slices.Sort(members)
 		groups = append(groups, Group{Members: members, Coverage: covered.Count()})
 		for _, m := range members {
 			used[m] = true
 		}
 		stats.Feasible++
 	}
-	return &Result{Groups: groups, QueryWidth: kq.Width(), Stats: stats}, nil
+	return &Result{Groups: groups, QueryWidth: kq.Width(), Compiled: kq, Stats: stats}, nil
 }

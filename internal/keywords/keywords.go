@@ -10,7 +10,10 @@ package keywords
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
+	"sync"
+	"sync/atomic"
 
 	"ktg/internal/bitset"
 	"ktg/internal/graph"
@@ -64,6 +67,40 @@ func (v *Vocabulary) Size() int { return len(v.names) }
 type Attributes struct {
 	vocab *Vocabulary
 	of    [][]ID
+
+	// post is the inverted file, per keyword id up to the largest stored
+	// one, which may exceed the vocabulary. The first Posting call after
+	// the sets change builds it; postMu makes concurrent first calls
+	// build it once, and later calls read it without locking.
+	postMu sync.Mutex
+	post   atomic.Pointer[[][]graph.Vertex]
+}
+
+// Posting returns the vertices carrying keyword id, in increasing order.
+// The slice must not be modified.
+func (a *Attributes) Posting(id ID) []graph.Vertex {
+	post := a.post.Load()
+	if post == nil {
+		a.postMu.Lock()
+		if post = a.post.Load(); post == nil {
+			var table [][]graph.Vertex
+			for v, ks := range a.of {
+				for _, k := range ks {
+					if int(k) >= len(table) {
+						table = append(table, make([][]graph.Vertex, int(k)+1-len(table))...)
+					}
+					table[k] = append(table[k], graph.Vertex(v))
+				}
+			}
+			post = &table
+			a.post.Store(post)
+		}
+		a.postMu.Unlock()
+	}
+	if int(id) < len(*post) {
+		return (*post)[id]
+	}
+	return nil
 }
 
 // NewAttributes returns empty attributes for n vertices over vocab.
@@ -95,14 +132,9 @@ func (a *Attributes) Assign(v graph.Vertex, names ...string) {
 // Duplicates are collapsed; the stored set is sorted.
 func (a *Attributes) AssignIDs(v graph.Vertex, ids ...ID) {
 	set := append([]ID(nil), ids...)
-	sort.Slice(set, func(i, j int) bool { return set[i] < set[j] })
-	uniq := set[:0]
-	for i, id := range set {
-		if i == 0 || id != set[i-1] {
-			uniq = append(uniq, id)
-		}
-	}
-	a.of[v] = uniq
+	slices.Sort(set)
+	a.of[v] = slices.Compact(set)
+	a.post.Store(nil)
 }
 
 // Keywords returns vertex v's sorted keyword IDs. The slice must not be
@@ -121,9 +153,8 @@ func (a *Attributes) KeywordNames(v graph.Vertex) []string {
 
 // Has reports whether vertex v carries keyword id.
 func (a *Attributes) Has(v graph.Vertex, id ID) bool {
-	ks := a.of[v]
-	i := sort.Search(len(ks), func(i int) bool { return ks[i] >= id })
-	return i < len(ks) && ks[i] == id
+	_, ok := slices.BinarySearch(a.of[v], id)
+	return ok
 }
 
 // AverageKeywordsPerVertex returns the mean keyword-set size.
@@ -139,59 +170,59 @@ func (a *Attributes) AverageKeywordsPerVertex() float64 {
 }
 
 // Query is a compiled view of a query keyword set W_Q against a fixed
-// Attributes instance. It precomputes, for every vertex, the bitmask of
-// query keywords the vertex covers, which makes QKC/VKC computations
-// single popcounts.
+// Attributes instance: S_R, the vertices covering at least one query
+// keyword, in increasing id order, each with the bitmask of the query
+// keywords it covers, which makes QKC/VKC computations single popcounts.
 type Query struct {
-	ids   []ID // sorted, deduplicated W_Q
-	width int
-	masks []bitset.Set // per-vertex; zero-width Set for non-covering vertices
-
-	empty bitset.Set // reusable all-zero mask of the query width
+	ids   []ID           // sorted, deduplicated W_Q
+	sr    []graph.Vertex // S_R, ascending
+	masks []uint64       // per member, the (width+63)/64 words of its mask
 }
 
-// CompileQuery builds the per-vertex coverage masks for the query keyword
-// IDs. Unknown IDs are permitted (they simply cover nothing). An empty
-// query is rejected because QKC would divide by zero.
+// CompileQuery builds S_R and its members' masks from the postings of
+// the query keyword IDs, in time linear in their lengths and |S_R| plus
+// passes over an n-bit vertex bitmap. Unknown IDs are permitted (they
+// cover nothing). An empty query is rejected: QKC would divide by zero.
 func CompileQuery(a *Attributes, queryIDs []ID) (*Query, error) {
 	ids := append([]ID(nil), queryIDs...)
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	uniq := ids[:0]
-	for i, id := range ids {
-		if i == 0 || id != ids[i-1] {
-			uniq = append(uniq, id)
-		}
-	}
-	ids = uniq
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
 	if len(ids) == 0 {
 		return nil, fmt.Errorf("keywords: empty query keyword set")
 	}
-	pos := make(map[ID]int, len(ids))
+	// S_R is the union of the query keywords' postings: mark them in a
+	// vertex bitmap, then read the bitmap out in ascending order.
+	seen, size := make([]uint64, (a.NumVertices()+63)>>6), 0
+	for _, id := range ids {
+		for _, v := range a.Posting(id) {
+			seen[v>>6] |= 1 << (v & 63)
+		}
+	}
+	for _, word := range seen {
+		size += bits.OnesCount64(word)
+	}
+	sr := make([]graph.Vertex, 0, size)
+	for w, word := range seen {
+		for ; word != 0; word &= word - 1 {
+			sr = append(sr, graph.Vertex(w<<6|bits.TrailingZeros64(word)))
+		}
+	}
+	// A member's position in S_R is its rank in the bitmap; each posting
+	// is ascending, so one walk over the bitmap ranks all its vertices.
+	words := (len(ids) + 63) >> 6
+	masks := make([]uint64, size*words)
 	for i, id := range ids {
-		pos[id] = i
-	}
-	q := &Query{
-		ids:   ids,
-		width: len(ids),
-		masks: make([]bitset.Set, a.NumVertices()),
-		empty: bitset.New(len(ids)),
-	}
-	for v := range q.masks {
-		var m bitset.Set
-		for _, id := range a.of[v] {
-			if i, ok := pos[id]; ok {
-				if m.Width() == 0 {
-					m = bitset.New(q.width)
-				}
-				m.Add(i)
+		w, rank := 0, 0
+		off, bit := i>>6, uint64(1)<<(i&63)
+		for _, v := range a.Posting(id) {
+			for ; w < int(v>>6); w++ {
+				rank += bits.OnesCount64(seen[w])
 			}
+			pos := rank + bits.OnesCount64(seen[w]&(1<<(v&63)-1))
+			masks[pos*words+off] |= bit
 		}
-		if m.Width() == 0 {
-			m = q.empty
-		}
-		q.masks[v] = m
 	}
-	return q, nil
+	return &Query{ids: ids, sr: sr, masks: masks}, nil
 }
 
 // CompileQueryNames is CompileQuery for keyword strings; names missing
@@ -226,32 +257,54 @@ func QueryIDsForNames(a *Attributes, names []string) []ID {
 }
 
 // Width returns |W_Q|.
-func (q *Query) Width() int { return q.width }
+func (q *Query) Width() int { return len(q.ids) }
 
 // IDs returns the sorted, deduplicated query keyword IDs.
 func (q *Query) IDs() []ID { return q.ids }
 
+// Members returns S_R in increasing id order. The slice must not be
+// modified; Candidates returns a copy.
+func (q *Query) Members() []graph.Vertex { return q.sr }
+
+// Position returns v's index in Members, or -1 when v is not in S_R.
+func (q *Query) Position(v graph.Vertex) int {
+	if i, ok := slices.BinarySearch(q.sr, v); ok {
+		return i
+	}
+	return -1
+}
+
+// MemberMask returns the coverage mask of Members()[i] over W_Q, or an
+// empty mask for i = -1. The returned set must not be modified.
+func (q *Query) MemberMask(i int) bitset.Set {
+	if i < 0 {
+		return bitset.New(len(q.ids))
+	}
+	words := (len(q.ids) + 63) >> 6
+	return bitset.View(q.masks[i*words:(i+1)*words:(i+1)*words], len(q.ids))
+}
+
 // Mask returns the coverage mask of vertex v over W_Q. The returned set
 // must not be modified.
-func (q *Query) Mask(v graph.Vertex) bitset.Set { return q.masks[v] }
+func (q *Query) Mask(v graph.Vertex) bitset.Set { return q.MemberMask(q.Position(v)) }
 
 // Covers reports whether vertex v covers at least one query keyword —
 // the qualification test of Definition 7 (0 < QKC(v)).
-func (q *Query) Covers(v graph.Vertex) bool { return q.masks[v].Any() }
+func (q *Query) Covers(v graph.Vertex) bool { return q.Position(v) >= 0 }
 
 // CoverageCount returns |k_v ∩ W_Q| for vertex v.
-func (q *Query) CoverageCount(v graph.Vertex) int { return q.masks[v].Count() }
+func (q *Query) CoverageCount(v graph.Vertex) int { return q.Mask(v).Count() }
 
 // QKC returns the query keyword coverage of vertex v (Definition 5).
 func (q *Query) QKC(v graph.Vertex) float64 {
-	return float64(q.CoverageCount(v)) / float64(q.width)
+	return float64(q.CoverageCount(v)) / float64(len(q.ids))
 }
 
 // GroupMask returns the union coverage mask of a group.
 func (q *Query) GroupMask(group []graph.Vertex) bitset.Set {
-	m := bitset.New(q.width)
+	m := bitset.New(len(q.ids))
 	for _, v := range group {
-		m.UnionWith(q.masks[v])
+		m.UnionWith(q.Mask(v))
 	}
 	return m
 }
@@ -263,23 +316,15 @@ func (q *Query) GroupCoverageCount(group []graph.Vertex) int {
 
 // GroupQKC returns the query keyword coverage of a group (Definition 6).
 func (q *Query) GroupQKC(group []graph.Vertex) float64 {
-	return float64(q.GroupCoverageCount(group)) / float64(q.width)
+	return float64(q.GroupCoverageCount(group)) / float64(len(q.ids))
 }
 
 // VKCCount returns the valid keyword coverage count of v with respect to
 // an already-covered mask (Definition 8, scaled by |W_Q|).
 func (q *Query) VKCCount(v graph.Vertex, covered bitset.Set) int {
-	return q.masks[v].CountDifference(covered)
+	return q.Mask(v).CountDifference(covered)
 }
 
-// Candidates returns the vertices covering at least one query keyword, in
-// increasing id order — the initial S_R of the algorithms.
-func (q *Query) Candidates() []graph.Vertex {
-	out := make([]graph.Vertex, 0, 64)
-	for v := range q.masks {
-		if q.masks[v].Any() {
-			out = append(out, graph.Vertex(v))
-		}
-	}
-	return out
-}
+// Candidates returns a copy of S_R, the vertices covering at least one
+// query keyword in increasing id order: the algorithms' initial S_R.
+func (q *Query) Candidates() []graph.Vertex { return slices.Clone(q.sr) }

@@ -45,6 +45,11 @@ func TestPopularKeywords(t *testing.T) {
 	if all := n.PopularKeywords(100); len(all) != 6 {
 		t.Errorf("PopularKeywords(100) returned %d names, want 6", len(all))
 	}
+	for _, limit := range []int{0, -1} {
+		if got := n.PopularKeywords(limit); len(got) != 0 {
+			t.Errorf("PopularKeywords(%d) = %v, want none", limit, got)
+		}
+	}
 }
 
 func TestPLLIndexEndToEnd(t *testing.T) {

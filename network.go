@@ -177,36 +177,23 @@ func GeneratePreset(name string, scale float64) (*Network, error) {
 func Presets() []string { return gen.PresetNames() }
 
 // PopularKeywords returns up to limit keyword names ordered by how many
-// vertices carry them — a convenient source of query keywords.
+// vertices carry them — a convenient source of query keywords. A limit
+// of zero or less yields an empty list.
 func (n *Network) PopularKeywords(limit int) []string {
-	type kc struct {
-		id    keywords.ID
-		count int
-	}
-	counts := make([]int, n.attrs.Vocabulary().Size())
-	for v := 0; v < n.NumVertices(); v++ {
-		for _, id := range n.attrs.Keywords(Vertex(v)) {
-			counts[id]++
+	vocab := n.attrs.Vocabulary()
+	ids := make([]keywords.ID, 0, vocab.Size())
+	for id := range vocab.Size() {
+		if len(n.attrs.Posting(keywords.ID(id))) > 0 {
+			ids = append(ids, keywords.ID(id))
 		}
 	}
-	all := make([]kc, 0, len(counts))
-	for id, c := range counts {
-		if c > 0 {
-			all = append(all, kc{keywords.ID(id), c})
-		}
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].count != all[j].count {
-			return all[i].count > all[j].count
-		}
-		return all[i].id < all[j].id
+	// Stable on ascending ids, so ties keep the lower id first.
+	sort.SliceStable(ids, func(i, j int) bool {
+		return len(n.attrs.Posting(ids[i])) > len(n.attrs.Posting(ids[j]))
 	})
-	if limit > len(all) {
-		limit = len(all)
-	}
-	out := make([]string, limit)
-	for i := 0; i < limit; i++ {
-		out[i] = n.attrs.Vocabulary().Name(all[i].id)
+	out := make([]string, max(0, min(limit, len(ids))))
+	for i := range out {
+		out[i] = vocab.Name(ids[i])
 	}
 	return out
 }

@@ -85,14 +85,14 @@ func (n *Network) SearchPartial(q Query, opts SearchOptions, slice CandidateSlic
 	}
 	for _, o := range pr.Offers {
 		out.Offers = append(out.Offers, PartialOffer{
-			Group:    n.liftGroup(o.Group, pr.QueryWidth, q.Keywords),
+			Group:    n.liftGroup(o.Group, pr.Compiled),
 			Coverage: o.Coverage,
 			RootPos:  o.RootPos,
 			Seq:      o.Seq,
 		})
 	}
 	for _, g := range pr.Groups {
-		out.Groups = append(out.Groups, n.liftGroup(g, pr.QueryWidth, q.Keywords))
+		out.Groups = append(out.Groups, n.liftGroup(g, pr.Compiled))
 	}
 	return out, err
 }

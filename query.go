@@ -161,7 +161,7 @@ func (n *Network) Search(q Query, opts SearchOptions) (*Result, error) {
 		return nil, err
 	}
 	done(res.Stats, len(res.Groups), err)
-	return n.lift(res, q.Keywords), err
+	return n.lift(res), err
 }
 
 // DiverseOptions tunes a SearchDiverse.
@@ -209,7 +209,7 @@ func (n *Network) SearchDiverse(q Query, opts DiverseOptions) (*DiverseResult, e
 		Score:     dr.Score,
 		Stats:     dr.Stats,
 	}
-	out.Groups = n.liftGroups(dr.Groups, dr.QueryWidth, q.Keywords)
+	out.Groups = n.liftGroups(dr.Groups, dr.Compiled)
 	return out, err
 }
 
@@ -245,7 +245,7 @@ func (n *Network) SearchGreedyWith(q Query, opts SearchOptions, seeds int) (*Res
 		return nil, err
 	}
 	done(res.Stats, len(res.Groups), err)
-	return n.lift(res, q.Keywords), err
+	return n.lift(res), err
 }
 
 // TAGQBaseline runs the TAGQ-style comparison baseline of the paper's
@@ -259,7 +259,7 @@ func (n *Network) TAGQBaseline(q Query, budget float64, idx DistanceIndex) (*Res
 	if err != nil {
 		return nil, err
 	}
-	return n.lift(res, q.Keywords), nil
+	return n.lift(res), nil
 }
 
 // lower converts public query/options to their core equivalents.
@@ -296,9 +296,9 @@ func (n *Network) lower(q Query, opts SearchOptions) (core.Query, core.Options) 
 	return cq, copts
 }
 
-func (n *Network) lift(res *core.Result, queryKeywords []string) *Result {
+func (n *Network) lift(res *core.Result) *Result {
 	return &Result{
-		Groups: n.liftGroups(res.Groups, res.QueryWidth, queryKeywords),
+		Groups: n.liftGroups(res.Groups, res.Compiled),
 		Stats:  res.Stats,
 	}
 }
@@ -307,14 +307,14 @@ func (n *Network) lift(res *core.Result, queryKeywords []string) *Result {
 // keywords share one Covered slice: the top groups of a query usually
 // cover the same keywords, and callers such as caches and load
 // generators keep results, so one copy per group adds up.
-func (n *Network) liftGroups(groups []core.Group, width int, queryKeywords []string) []Group {
+func (n *Network) liftGroups(groups []core.Group, kq *keywords.Query) []Group {
 	if len(groups) == 0 {
 		return nil
 	}
 	out := make([]Group, len(groups))
 	var distinct [][]string
 	for i, g := range groups {
-		out[i] = n.liftGroup(g, width, queryKeywords)
+		out[i] = n.liftGroup(g, kq)
 		shared := false
 		for _, c := range distinct {
 			if slices.Equal(c, out[i].Covered) {
@@ -329,33 +329,28 @@ func (n *Network) liftGroups(groups []core.Group, width int, queryKeywords []str
 	return out
 }
 
-func (n *Network) liftGroup(g core.Group, width int, queryKeywords []string) Group {
-	have := map[string]bool{}
-	for _, v := range g.Members {
-		for _, kw := range n.attrs.KeywordNames(v) {
-			have[kw] = true
-		}
-	}
-	seen := map[string]bool{}
-	for _, kw := range queryKeywords {
-		if have[kw] {
-			seen[kw] = true
-		}
-	}
-	// Sized exactly: callers keep results.
-	var covered []string
-	if len(seen) > 0 {
-		covered = make([]string, 0, len(seen))
-	}
-	for kw := range seen {
-		covered = append(covered, kw)
-	}
-	sort.Strings(covered)
+func (n *Network) liftGroup(g core.Group, kq *keywords.Query) Group {
 	return Group{
 		Members: append([]Vertex(nil), g.Members...),
-		Covered: covered,
-		QKC:     g.QKC(width),
+		Covered: n.covered(kq, g.Members),
+		QKC:     g.QKC(kq.Width()),
 	}
+}
+
+// covered returns the sorted names of the query keywords the members
+// jointly cover, read off the compiled query's masks. The slice is sized
+// exactly (nil when nothing is covered): callers keep results.
+func (n *Network) covered(kq *keywords.Query, members []Vertex) []string {
+	ids := kq.GroupMask(members).Indices()
+	if len(ids) == 0 {
+		return nil
+	}
+	out := make([]string, len(ids))
+	for i, j := range ids {
+		out[i] = n.attrs.Vocabulary().Name(kq.IDs()[j])
+	}
+	sort.Strings(out)
+	return out
 }
 
 // TenuityAudit quantifies how tenuous a set of members is: the number
@@ -392,22 +387,11 @@ func (n *Network) AuditTenuity(members []Vertex, k, maxHops int, idx DistanceInd
 }
 
 // CoveredKeywords returns the query keywords from q that the given
-// members jointly cover, in q's order.
+// members jointly cover, sorted by name.
 func (n *Network) CoveredKeywords(q Query, members []Vertex) []string {
-	have := map[string]bool{}
-	for _, v := range members {
-		for _, kw := range n.attrs.KeywordNames(v) {
-			have[kw] = true
-		}
+	kq, err := keywords.CompileQueryNames(n.attrs, q.Keywords)
+	if err != nil {
+		return nil
 	}
-	seen := map[string]bool{}
-	var out []string
-	for _, kw := range q.Keywords {
-		if have[kw] && !seen[kw] {
-			seen[kw] = true
-			out = append(out, kw)
-		}
-	}
-	sort.Strings(out)
-	return out
+	return n.covered(kq, members)
 }

@@ -37,6 +37,9 @@ go test -race ./...
 # Every index build and repair runs on the bit-parallel BFS kernel;
 # fuzz it against the single-source Traverser beyond its seed corpus.
 go test ./internal/graph -run '^$' -fuzz FuzzMultiBFS -fuzztime 10s
+# Every search compiles its query from the keyword postings; fuzz the
+# compile against the per-vertex reference compile.
+go test ./internal/keywords -run '^$' -fuzz FuzzCompileQuery -fuzztime 10s
 
 # The repository benchmark is a separate Go module over the public API
 # (perfbench/go.mod replaces ktg with ../). Vet and test it here so an
