@@ -1,11 +1,13 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
 	"ktg/internal/gen"
 	"ktg/internal/index"
+	"ktg/internal/keywords"
 	"ktg/internal/workload"
 )
 
@@ -95,6 +97,36 @@ func BenchmarkExplore(b *testing.B) {
 			}
 		}
 		b.ReportMetric(float64(setup.Nanoseconds())/float64(2*len(qs)*b.N), "setup_ns/query")
+	})
+}
+
+// BenchmarkSearchBFS runs one heavy exact query without an index, so
+// every distance check is a bounded BFS: capped KTG-VKC-DEG on
+// Brightkite/0.2 (11,658 vertices) with p=5, k=2, N=100 over the six
+// most popular keywords. One op is one search.
+//
+//	go test ./internal/core -run '^$' -bench SearchBFS
+func BenchmarkSearchBFS(b *testing.B) {
+	ds, err := gen.GeneratePreset("brightkite", 0.2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// The six keywords the most vertices carry, ties to the lower id.
+	kws := make([]keywords.ID, ds.Attrs.Vocabulary().Size())
+	for i := range kws {
+		kws[i] = keywords.ID(i)
+	}
+	slices.SortStableFunc(kws, func(x, y keywords.ID) int {
+		return len(ds.Attrs.Posting(y)) - len(ds.Attrs.Posting(x))
+	})
+	q := Query{Keywords: kws[:6], P: 5, K: 2, N: 100}
+	opts := Options{Oracle: index.NewBFSOracle(ds.Graph), Ordering: OrderVKCDegree}
+	benchBatch(b, 1, func(int) (Stats, error) {
+		r, err := Search(ds.Graph, ds.Attrs, q, opts)
+		if err != nil {
+			return Stats{}, err
+		}
+		return r.Stats, nil
 	})
 }
 

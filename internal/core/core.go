@@ -151,12 +151,16 @@ type Stats struct {
 	Nodes int64 `json:"nodes"`
 	// Pruned counts subtrees cut by keyword pruning (Theorem 2).
 	Pruned int64 `json:"pruned"`
-	// Filtered counts candidates removed by k-line filtering (Theorem 3).
+	// Filtered counts candidates removed by k-line filtering (Theorem 3)
+	// and, with QueryVertices, the members of S_R near a query vertex.
+	// The member that completes a group is not filtered: the complete
+	// group's node reads no candidates.
 	Filtered int64 `json:"filtered"`
 	// DistanceChecks counts calls to the distance oracle. The exact
 	// searches ask it about each unordered pair of candidates at most
 	// once per search, DKTG-Greedy once per query, while their distance
-	// memo stays within its 8 MiB budget.
+	// memo stays within its 8 MiB budget, and never about a group's last
+	// member and the candidates left after it.
 	DistanceChecks int64 `json:"distance_checks"`
 	// Feasible counts complete size-p groups evaluated.
 	Feasible int64 `json:"feasible"`
@@ -170,8 +174,8 @@ type Stats struct {
 
 	// Per-depth effort histograms: index d counts events at nodes whose
 	// intermediate group S_I holds d members (so index P marks complete
-	// groups). nil for algorithms without a depth notion and for
-	// rejected queries.
+	// groups). DepthFiltered[P-1] is always 0, as Filtered explains.
+	// nil for algorithms without a depth notion and for rejected queries.
 	DepthNodes    []int64 `json:"depth_nodes,omitempty"`
 	DepthPruned   []int64 `json:"depth_pruned,omitempty"`
 	DepthFiltered []int64 `json:"depth_filtered,omitempty"`

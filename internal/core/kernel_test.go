@@ -15,8 +15,9 @@ import (
 
 // The reference below is the branch-and-bound as it ran before the
 // bitset kernel: one oracle call per surviving candidate at every node
-// and a comparison sort of the child list. The kernel must reproduce its
-// groups, counters, per-depth rows and partial offer streams exactly.
+// that still has members to add, and a comparison sort of the child
+// list. The kernel must reproduce its groups, counters, per-depth rows
+// and partial offer streams exactly.
 
 type refCandidate struct {
 	v   graph.Vertex
@@ -148,7 +149,13 @@ func (s *refSearcher) explore(cands []refCandidate, covered bitset.Set, depth in
 		childCover.CopyFrom(covered)
 		childCover.UnionWith(s.kq.Mask(v.v))
 		child := s.candBuf[depth][:0]
-		for _, u := range cands[i+1:] {
+		// The last member completes the group, whose node reads no
+		// candidates: nothing is filtered against it.
+		rest := cands[i+1:]
+		if need == 1 {
+			rest = nil
+		}
+		for _, u := range rest {
 			s.stats.DistanceChecks++
 			if s.oracle.Within(v.v, u.v, s.q.K) {
 				s.stats.Filtered++
@@ -240,6 +247,7 @@ func requireMatchesReference(t *testing.T, label string, g graph.Topology, attrs
 		t.Fatalf("%s: groups %v, reference %v", label, got, want)
 	}
 	requireSameStats(t, label, s.stats, ref.stats)
+	requireNoLastMemberFilter(t, label, s.stats)
 	for _, count := range []int{2, 3} {
 		for idx := 0; idx < count; idx++ {
 			slice := CandidateSlice{Index: idx, Count: count}
@@ -256,7 +264,18 @@ func requireMatchesReference(t *testing.T, label string, g graph.Topology, attrs
 				t.Fatalf("%s: offers %v, reference %v", sl, s.offers, ref.offers)
 			}
 			requireSameStats(t, sl, s.stats, ref.stats)
+			requireNoLastMemberFilter(t, sl, s.stats)
 		}
+	}
+}
+
+// requireNoLastMemberFilter checks that no k-line removal was counted
+// while S_I held P-1 members: the member that completes a group is never
+// filtered against the remaining candidates.
+func requireNoLastMemberFilter(t *testing.T, label string, st Stats) {
+	t.Helper()
+	if f := st.DepthFiltered; f[len(f)-2] != 0 {
+		t.Fatalf("%s: DepthFiltered = %v, want 0 at depth P-1", label, f)
 	}
 }
 
@@ -492,4 +511,69 @@ func TestKernelAsksEachPairOnce(t *testing.T) {
 			t.Fatalf("%s: %d pairs asked, Stats.DistanceChecks = %d", variantLabel(o), len(rec.asked), res.Stats.DistanceChecks)
 		}
 	}
+}
+
+// TestLastMemberIsNotFiltered pins that the member completing a group is
+// never k-line filtered against the remaining candidates: at p=1 every
+// member is the last one, so a search without query vertices asks the
+// oracle nothing and removes nothing, whole or in any 2- or 3-way slice.
+func TestLastMemberIsNotFiltered(t *testing.T) {
+	ds, idx, wl := brightkite(t)
+	q := Query{Keywords: wl.QueryKeywords(3), P: 1, K: 2, N: 5}
+	kq, err := keywords.CompileQuery(ds.Attrs, q.Keywords)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exclude := []graph.Vertex{kq.Candidates()[0]}
+	for _, base := range []Options{{Oracle: idx}, {ExcludeVertices: exclude}} {
+		for _, o := range kernelVariants(base) {
+			label := variantLabel(o)
+			r, err := Search(ds.Graph, ds.Attrs, q, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runs := map[string]Stats{"search": r.Stats}
+			for _, count := range []int{2, 3} {
+				for i := 0; i < count; i++ {
+					pr, err := SearchPartial(ds.Graph, ds.Attrs, q, o, CandidateSlice{Index: i, Count: count})
+					if err != nil {
+						t.Fatal(err)
+					}
+					runs[fmt.Sprintf("slice %d/%d", i, count)] = pr.Stats
+				}
+			}
+			for run, st := range runs {
+				if st.Nodes < 2 || st.DistanceChecks != 0 || st.Filtered != 0 {
+					t.Fatalf("%s %s: nodes %d, distance checks %d, filtered %d; want no checks and no removals",
+						label, run, st.Nodes, st.DistanceChecks, st.Filtered)
+				}
+			}
+		}
+	}
+}
+
+// FuzzKernelMatchesReference checks the kernel against the reference on
+// random instances: the seed picks the instance, and the variant byte
+// picks whether one excluded vertex and one query vertex are set (bit 0)
+// and which of kernelVariants runs (the other bits, modulo their count).
+//
+//	go test ./internal/core -run '^$' -fuzz FuzzKernelMatchesReference -fuzztime 10s
+func FuzzKernelMatchesReference(f *testing.F) {
+	for seed := int64(0); seed < 8; seed++ {
+		f.Add(seed, uint8(seed*5))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, variant uint8) {
+		r := rand.New(rand.NewSource(seed))
+		g, attrs, q := randomInstance(r)
+		var base Options
+		if variant&1 != 0 {
+			n := g.NumVertices()
+			base.ExcludeVertices = []graph.Vertex{graph.Vertex(r.Intn(n))}
+			base.QueryVertices = []graph.Vertex{graph.Vertex(r.Intn(n))}
+		}
+		variants := kernelVariants(base)
+		o := variants[int(variant>>1)%len(variants)]
+		label := fmt.Sprintf("seed %d %s", seed, variantLabel(o))
+		requireMatchesReference(t, label, g, attrs, q, o, memoBudgetBytes)
+	})
 }

@@ -109,7 +109,8 @@ type BoundStep struct {
 // describes work done while the intermediate group held d members:
 // Expanded counts children descended into (nodes entered at depth d+1),
 // PrunedBound counts Theorem 2 keyword-bound subtree cuts, and
-// FilteredKLine counts Theorem 3 k-line candidate removals.
+// FilteredKLine counts Theorem 3 k-line candidate removals, which is 0
+// in row P-1: the member that completes a group is not filtered.
 type ExplainDepth struct {
 	Depth         int   `json:"depth"`
 	Expanded      int64 `json:"expanded"`

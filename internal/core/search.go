@@ -346,7 +346,8 @@ func (s *searcher) aborted() bool {
 // S_I) has `depth` members jointly covering cover[depth], and rem[depth]
 // holds the `size` remaining candidates S_R, all k-line-compatible with
 // every member of S_I. Unless the node cannot fill S_I, tally has just
-// counted their keys.
+// counted their keys. A complete group's node (depth P) has no
+// candidates: its last member is never k-line filtered against S_R.
 func (s *searcher) explore(depth, size int) {
 	s.stats.Nodes++
 	s.stats.DepthNodes[depth]++
@@ -411,32 +412,36 @@ func (s *searcher) explore(depth, size int) {
 			}
 		}
 
-		// k-line filtering (Theorem 3): drop the candidates within K of
-		// v, one word of the bitset at a time.
-		near := s.nearOf(int(v.id), rem)
-		if near == nil {
-			s.budgetHit = true
-			s.probe.abort(s.abortCause(), depth)
-			return
-		}
-		left, filtered := 0, 0
-		for w, r := range rem {
-			filtered += bits.OnesCount64(r & near[w])
-			child[w] = r &^ near[w]
-			left += bits.OnesCount64(child[w])
-		}
-		s.stats.Filtered += int64(filtered)
-		s.stats.DepthFiltered[depth] += int64(filtered)
 		copy(childCover, covered)
 		for j := 0; j < s.kq.Width(); j++ {
 			if s.holders[j*s.words+int(v.id>>6)]&(1<<(v.id&63)) != 0 {
 				childCover[j>>6] |= 1 << (j & 63)
 			}
 		}
-		// A complete group's node, or one too short to fill S_I, never
-		// reads its candidates.
-		if need > 1 && left >= need-1 {
-			s.tally(depth + 1)
+		// k-line filtering (Theorem 3): drop the candidates within K of
+		// v, one word of the bitset at a time. A complete group's node
+		// never reads its candidates, so v's row is not filled when it
+		// is the last member.
+		left := 0
+		if need > 1 {
+			near := s.nearOf(int(v.id), rem)
+			if near == nil {
+				s.budgetHit = true
+				s.probe.abort(s.abortCause(), depth)
+				return
+			}
+			filtered := 0
+			for w, r := range rem {
+				filtered += bits.OnesCount64(r & near[w])
+				child[w] = r &^ near[w]
+				left += bits.OnesCount64(child[w])
+			}
+			s.stats.Filtered += int64(filtered)
+			s.stats.DepthFiltered[depth] += int64(filtered)
+			// A node too short to fill S_I never reads its candidates.
+			if left >= need-1 {
+				s.tally(depth + 1)
+			}
 		}
 
 		s.si = append(s.si, s.verts[v.id])

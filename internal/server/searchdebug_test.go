@@ -99,13 +99,14 @@ func TestDebugSearchLiveProgress(t *testing.T) {
 	defer ts.Close()
 
 	// A deliberately heavy exact query: top_n=100 keeps the top-N heap
-	// wide, so ~100 groups (and their oracle-heavy tenuity checks) must
-	// be assembled before the Theorem 2 bound starts cutting.
+	// wide, so ~100 groups must be assembled before the Theorem 2 bound
+	// starts cutting, and every member but the last k-line filters S_R
+	// with 3-hop BFS checks.
 	body, err := json.Marshal(map[string]any{
 		"dataset":    dsName,
 		"keywords":   net.PopularKeywords(6),
-		"group_size": 5,
-		"tenuity":    2,
+		"group_size": 6,
+		"tenuity":    3,
 		"top_n":      100,
 		// Plain runs answer exact in a few hundred ms; under -race the
 		// BFS oracle is slow enough that the 3s deadline cuts the search

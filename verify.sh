@@ -40,6 +40,9 @@ go test ./internal/graph -run '^$' -fuzz FuzzMultiBFS -fuzztime 10s
 # Every search compiles its query from the keyword postings; fuzz the
 # compile against the per-vertex reference compile.
 go test ./internal/keywords -run '^$' -fuzz FuzzCompileQuery -fuzztime 10s
+# Every exact search runs the bitset kernel; fuzz it against the
+# per-candidate reference loop over random instances and variants.
+go test ./internal/core -run '^$' -fuzz FuzzKernelMatchesReference -fuzztime 10s
 
 # The repository benchmark is a separate Go module over the public API
 # (perfbench/go.mod replaces ktg with ../). Vet and test it here so an
