@@ -23,8 +23,9 @@
 //	ktgload -addr :8080 -mutate-rate 0.3 -mutate-batch 8
 //
 // Exit status is non-zero if any query is lost (no answer within
-// -patience) or any answer is malformed (wrong group size, covered
-// keywords outside the query, non-positive QKC bound).
+// -patience) or any answer is malformed (a group not of exactly p
+// members in ascending order, covered keywords outside the query, a QKC
+// outside [0,1]).
 package main
 
 import (
@@ -46,6 +47,7 @@ import (
 	"ktg/internal/cliutil"
 	"ktg/internal/gen"
 	"ktg/internal/obs"
+	"ktg/internal/server"
 	"ktg/internal/workload"
 )
 
@@ -386,16 +388,11 @@ func datasetEpoch(base, dataset string) (uint64, error) {
 	if res.StatusCode != http.StatusOK {
 		return 0, fmt.Errorf("/v1/datasets: status %d", res.StatusCode)
 	}
-	var wire struct {
-		Datasets []struct {
-			Name  string `json:"name"`
-			Epoch uint64 `json:"epoch"`
-		} `json:"datasets"`
-	}
-	if err := json.NewDecoder(res.Body).Decode(&wire); err != nil {
+	var list server.DatasetList
+	if err := json.NewDecoder(res.Body).Decode(&list); err != nil {
 		return 0, err
 	}
-	for _, d := range wire.Datasets {
+	for _, d := range list.Datasets {
 		if d.Name == dataset {
 			return d.Epoch, nil
 		}
@@ -583,25 +580,24 @@ func (ms *mutationSummary) report(w *os.File, st client.Stats) {
 		ms.applied, ms.ignored, ms.maxEpoch, st.EpochSkewRetries)
 }
 
-// validate checks structural well-formedness of an answer: group sizes
-// respect p, covered keywords are a subset of the query's, and QKC
-// fractions are sane. (Semantic equivalence to a fault-free run is the
-// soak test's job; the driver checks what it can without ground truth.)
+// validate checks structural well-formedness of an answer: every group
+// has exactly p members in strictly ascending order, covered keywords
+// are a subset of the query's, and QKC fractions are sane. (Semantic
+// equivalence to a fault-free run is the soak test's job; the driver
+// checks what it can without ground truth.)
 func validate(resp *client.Response, kws []string, p int) string {
 	asked := make(map[string]bool, len(kws))
 	for _, k := range kws {
 		asked[k] = true
 	}
 	for gi, g := range resp.Groups {
-		if len(g.Members) == 0 || len(g.Members) > p {
-			return fmt.Sprintf("group %d has %d members, want 1..%d", gi, len(g.Members), p)
+		if len(g.Members) != p {
+			return fmt.Sprintf("group %d has %d members, want %d", gi, len(g.Members), p)
 		}
-		seen := make(map[int]bool, len(g.Members))
-		for _, m := range g.Members {
-			if seen[m] {
-				return fmt.Sprintf("group %d repeats member %d", gi, m)
+		for i := 1; i < len(g.Members); i++ {
+			if g.Members[i] <= g.Members[i-1] {
+				return fmt.Sprintf("group %d members %v are not strictly ascending", gi, g.Members)
 			}
-			seen[m] = true
 		}
 		for _, k := range g.Covered {
 			if !asked[k] {

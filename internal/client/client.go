@@ -43,6 +43,7 @@ import (
 
 	"ktg"
 	"ktg/internal/obs"
+	"ktg/internal/server"
 )
 
 // Sentinel errors. APIError.Unwrap maps HTTP statuses onto the first
@@ -63,12 +64,10 @@ var (
 	ErrRetryBudgetExhausted = errors.New("client: retry budget exhausted")
 )
 
-// APIError is a structured error response from the server
-// ({"error": {"code", "message"}} with a non-200 status).
+// APIError is a structured error response from the server: the
+// {"error": {"code", "message"}} body with its non-200 status.
 type APIError struct {
-	Status  int
-	Code    string
-	Message string
+	server.APIError
 	// RetryAfter is the parsed Retry-After header (0 when absent or
 	// unparseable; HasRetryAfter distinguishes "0s" from "none").
 	RetryAfter    time.Duration
@@ -97,83 +96,49 @@ func (e *APIError) retryable() bool {
 }
 
 // Request is the JSON body of POST /v1/query, /v1/diverse, and
-// /v1/query/partial, mirroring the server's wire format.
-type Request struct {
-	Dataset       string   `json:"dataset"`
-	Keywords      []string `json:"keywords"`
-	GroupSize     int      `json:"group_size"`
-	Tenuity       int      `json:"tenuity"`
-	TopN          int      `json:"top_n,omitempty"`
-	Algorithm     string   `json:"algorithm,omitempty"`
-	Gamma         *float64 `json:"gamma,omitempty"`
-	Seeds         int      `json:"seeds,omitempty"`
-	TimeoutMillis int64    `json:"timeout_ms,omitempty"`
-	MaxNodes      int64    `json:"max_nodes,omitempty"`
-	// SliceIndex/SliceCount select the frontier slice for QueryPartial;
-	// the server rejects them on the other endpoints.
-	SliceIndex int `json:"slice_index,omitempty"`
-	SliceCount int `json:"slice_count,omitempty"`
-	// Explain asks the server for a structured explain plan alongside the
-	// results. Explain responses bypass the server's cache, so leave it
-	// off on the hot path.
-	Explain bool `json:"explain,omitempty"`
-}
+// /v1/query/partial.
+type Request = server.QueryRequest
 
 // Group is one result group on the wire.
-type Group struct {
-	Members []int    `json:"members"`
-	Covered []string `json:"covered"`
-	QKC     float64  `json:"qkc"`
+type Group = ktg.Group
+
+// Call is the client's record of one logical call, filled after the
+// winning attempt; none of it is on the wire. RequestID echoes the
+// X-Request-Id the winning attempt carried (stable across every attempt
+// of this call). TraceID is the W3C trace the call ran under (every
+// attempt propagated it via traceparent, so server-side spans join it).
+// Attempts counts HTTP round-trips this call made, hedges included;
+// Hedged reports the answer came from a hedge attempt.
+type Call struct {
+	RequestID string
+	TraceID   string
+	Attempts  int
+	Hedged    bool
 }
 
-// Response is a successful query answer. Degraded/Partial surface the
-// server's under-pressure compromises — callers that need the exact
-// answer should check them rather than assume.
-type Response struct {
-	Dataset        string          `json:"dataset"`
-	Algorithm      string          `json:"algorithm"`
-	Groups         []Group         `json:"groups"`
-	Diversity      *float64        `json:"diversity,omitempty"`
-	MinQKC         *float64        `json:"min_qkc,omitempty"`
-	Score          *float64        `json:"score,omitempty"`
-	Partial        bool            `json:"partial,omitempty"`
-	PartialReason  string          `json:"partial_reason,omitempty"`
-	Degraded       bool            `json:"degraded,omitempty"`
-	DegradedReason string          `json:"degraded_reason,omitempty"`
-	Stats          ktg.SearchStats `json:"stats"`
-	// Epoch is the dataset epoch the answer was computed on (mutable
-	// datasets only; 0 for static datasets).
-	Epoch uint64 `json:"epoch,omitempty"`
-	// Explain is the structured explain plan, present only when the
-	// request set Explain: true.
-	Explain *ktg.Explain `json:"explain,omitempty"`
-	Cache   string       `json:"cache"`
+func (c *Call) setCallMeta(reqID, traceID string, attempts int, hedged bool) {
+	c.RequestID, c.TraceID, c.Attempts, c.Hedged = reqID, traceID, attempts, hedged
+}
 
-	// RequestID echoes the X-Request-Id the winning attempt carried
-	// (stable across every attempt of this call). TraceID is the W3C
-	// trace the call ran under (every attempt propagated it via
-	// traceparent, so server-side spans join it). Attempts counts HTTP
-	// round-trips this call made, hedges included; Hedged reports the
-	// answer came from a hedge attempt. All four are client-filled, not
-	// part of the wire body.
-	RequestID string `json:"-"`
-	TraceID   string `json:"-"`
-	Attempts  int    `json:"-"`
-	Hedged    bool   `json:"-"`
+// Response is a successful query answer: the server's body plus the
+// call record. Degraded/Partial surface the server's under-pressure
+// compromises — callers that need the exact answer should check them
+// rather than assume. From a coordinator, ShardsFailed > 0 reports
+// shard loss.
+type Response struct {
+	server.QueryResponse
+	Call `json:"-"`
 }
 
 // wireBody is implemented by every response type the retry pipeline can
-// decode (Response, PartialResponse), so do/attempt/roundTrip run one
-// shared breaker/backoff/hedging pipeline for all endpoints.
+// decode (Response, PartialResponse, MutationResponse), so
+// do/attempt/roundTrip run one shared breaker/backoff/hedging pipeline
+// for all endpoints.
 type wireBody interface {
-	// setCallMeta fills the client-side metadata after the winning attempt.
+	// setCallMeta fills the call record after the winning attempt.
 	setCallMeta(reqID, traceID string, attempts int, hedged bool)
 	// outcomeFlags reports the degraded/partial markers for counting.
 	outcomeFlags() (degraded, partial bool)
-}
-
-func (r *Response) setCallMeta(reqID, traceID string, attempts int, hedged bool) {
-	r.RequestID, r.TraceID, r.Attempts, r.Hedged = reqID, traceID, attempts, hedged
 }
 
 func (r *Response) outcomeFlags() (degraded, partial bool) {
@@ -640,12 +605,9 @@ const maxResponseBytes = 8 << 20
 // tolerating bodies that are not the structured error shape (chaos
 // resets can garble them).
 func apiErrorFrom(hres *http.Response, raw []byte) *APIError {
-	aerr := &APIError{Status: hres.StatusCode, Code: "unknown", Message: strings.TrimSpace(string(raw))}
+	aerr := &APIError{APIError: server.APIError{Status: hres.StatusCode, Code: "unknown", Message: strings.TrimSpace(string(raw))}}
 	var wire struct {
-		Error struct {
-			Code    string `json:"code"`
-			Message string `json:"message"`
-		} `json:"error"`
+		Error server.APIError `json:"error"`
 	}
 	if err := json.Unmarshal(raw, &wire); err == nil && wire.Error.Code != "" {
 		aerr.Code, aerr.Message = wire.Error.Code, wire.Error.Message

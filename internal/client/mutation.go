@@ -1,43 +1,22 @@
 package client
 
-import "context"
+import (
+	"context"
+
+	"ktg/internal/server"
+)
 
 // EdgeOp is one edge mutation on the wire ("insert" or "delete").
-type EdgeOp struct {
-	Op string `json:"op"`
-	U  int64  `json:"u"`
-	V  int64  `json:"v"`
-}
+type EdgeOp = server.EdgeOp
 
 // MutationRequest is the JSON body of POST /v1/edges.
-type MutationRequest struct {
-	Dataset       string   `json:"dataset"`
-	Edges         []EdgeOp `json:"edges"`
-	TimeoutMillis int64    `json:"timeout_ms,omitempty"`
-}
+type MutationRequest = server.MutationRequest
 
-// MutationResponse is a successful POST /v1/edges answer, mirroring the
-// server's wire format.
+// MutationResponse is a successful POST /v1/edges answer plus the call
+// record. Hedged is always false: mutations never hedge.
 type MutationResponse struct {
-	Dataset          string `json:"dataset"`
-	Epoch            uint64 `json:"epoch"`
-	Swapped          bool   `json:"swapped"`
-	Applied          int    `json:"applied"`
-	Ignored          int    `json:"ignored"`
-	AffectedVertices int    `json:"affected_vertices"`
-	CacheInvalidated int    `json:"cache_invalidated"`
-	CacheFlushed     bool   `json:"cache_flushed"`
-
-	// Client-filled call metadata, as on Response. Hedged is always
-	// false: mutations never hedge.
-	RequestID string `json:"-"`
-	TraceID   string `json:"-"`
-	Attempts  int    `json:"-"`
-	Hedged    bool   `json:"-"`
-}
-
-func (m *MutationResponse) setCallMeta(reqID, traceID string, attempts int, hedged bool) {
-	m.RequestID, m.TraceID, m.Attempts, m.Hedged = reqID, traceID, attempts, hedged
+	server.MutationResponse
+	Call `json:"-"`
 }
 
 func (m *MutationResponse) outcomeFlags() (degraded, partial bool) {
@@ -56,34 +35,4 @@ func (c *Client) MutateEdges(ctx context.Context, req *MutationRequest) (*Mutati
 		return nil, err
 	}
 	return out.(*MutationResponse), nil
-}
-
-// InvalidateResponse is a successful POST /v1/cache/invalidate answer.
-type InvalidateResponse struct {
-	Invalidated int `json:"invalidated"`
-
-	RequestID string `json:"-"`
-	TraceID   string `json:"-"`
-	Attempts  int    `json:"-"`
-	Hedged    bool   `json:"-"`
-}
-
-func (i *InvalidateResponse) setCallMeta(reqID, traceID string, attempts int, hedged bool) {
-	i.RequestID, i.TraceID, i.Attempts, i.Hedged = reqID, traceID, attempts, hedged
-}
-
-func (i *InvalidateResponse) outcomeFlags() (degraded, partial bool) {
-	return false, false
-}
-
-// InvalidateCache drops every cached result on the server (POST
-// /v1/cache/invalidate). Like MutateEdges it never hedges — the call is
-// idempotent but each leg's flush discards work, so there is nothing a
-// racing duplicate could win.
-func (c *Client) InvalidateCache(ctx context.Context) (*InvalidateResponse, error) {
-	out, err := c.do(ctx, "/v1/cache/invalidate", struct{}{}, false, func() wireBody { return new(InvalidateResponse) })
-	if err != nil {
-		return nil, err
-	}
-	return out.(*InvalidateResponse), nil
 }

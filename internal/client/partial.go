@@ -4,89 +4,36 @@ import (
 	"context"
 
 	"ktg"
+	"ktg/internal/server"
 )
 
-// PartialOffer is one merge-stream offer on the wire, mirroring
-// internal/server's partial response format.
-type PartialOffer struct {
-	Members  []ktg.Vertex `json:"members"`
-	Covered  []string     `json:"covered"`
-	QKC      float64      `json:"qkc"`
-	Coverage int          `json:"coverage"`
-	RootPos  int          `json:"root_pos"`
-	Seq      int          `json:"seq"`
-}
-
 // PartialResponse is a successful POST /v1/query/partial answer: one
-// shard's mergeable slice of a scattered search. Partial means the
-// slice was cut short (deadline or budget) — any merge over it is
-// inexact and must be surfaced as such.
+// shard's mergeable slice of a scattered search, plus the call record.
+// Partial means the slice was cut short (deadline or budget) — any merge
+// over it is inexact and must be surfaced as such.
 type PartialResponse struct {
-	Dataset       string          `json:"dataset"`
-	Algorithm     string          `json:"algorithm"`
-	SliceIndex    int             `json:"slice_index"`
-	SliceCount    int             `json:"slice_count"`
-	FrontierSize  int             `json:"frontier_size"`
-	QueryWidth    int             `json:"query_width"`
-	Best          int             `json:"best"`
-	Threshold     int             `json:"threshold"`
-	Offers        []PartialOffer  `json:"offers"`
-	Groups        []Group         `json:"groups"`
-	Partial       bool            `json:"partial,omitempty"`
-	PartialReason string          `json:"partial_reason,omitempty"`
-	Stats         ktg.SearchStats `json:"stats"`
-	// Epoch is the dataset epoch the slice was computed on (mutable
-	// datasets only). The coordinator compares it across shards before
-	// merging.
-	Epoch uint64 `json:"epoch,omitempty"`
-	// Explain is this slice's structured explain plan, present only when
-	// the request set Explain: true; the coordinator merges the per-shard
-	// plans via ktg.MergeExplains.
-	Explain *ktg.Explain `json:"explain,omitempty"`
-
-	// Client-filled call metadata, as on Response.
-	RequestID string `json:"-"`
-	TraceID   string `json:"-"`
-	Attempts  int    `json:"-"`
-	Hedged    bool   `json:"-"`
-}
-
-func (p *PartialResponse) setCallMeta(reqID, traceID string, attempts int, hedged bool) {
-	p.RequestID, p.TraceID, p.Attempts, p.Hedged = reqID, traceID, attempts, hedged
+	server.PartialResponse
+	Call `json:"-"`
 }
 
 func (p *PartialResponse) outcomeFlags() (degraded, partial bool) {
 	return false, p.Partial
 }
 
-// PartialResult converts the wire response into the merge input for
-// ktg.MergePartials, as the coordinator consumes it.
+// PartialResult is the answer as the merge input for ktg.MergePartials,
+// as the coordinator consumes it.
 func (p *PartialResponse) PartialResult() *ktg.PartialResult {
-	out := &ktg.PartialResult{
+	return &ktg.PartialResult{
 		Slice:        ktg.CandidateSlice{Index: p.SliceIndex, Count: p.SliceCount},
 		FrontierSize: p.FrontierSize,
 		QueryWidth:   p.QueryWidth,
 		Best:         p.Best,
 		Threshold:    p.Threshold,
 		Truncated:    p.Partial,
+		Offers:       p.Offers,
+		Groups:       p.Groups,
 		Stats:        p.Stats,
 	}
-	for _, o := range p.Offers {
-		out.Offers = append(out.Offers, ktg.PartialOffer{
-			Group:    ktg.Group{Members: o.Members, Covered: o.Covered, QKC: o.QKC},
-			Coverage: o.Coverage,
-			RootPos:  o.RootPos,
-			Seq:      o.Seq,
-		})
-	}
-	for _, g := range p.Groups {
-		members := make([]ktg.Vertex, len(g.Members))
-		for i, m := range g.Members {
-			members[i] = ktg.Vertex(m)
-		}
-		out.Groups = append(out.Groups, ktg.Group{Members: members, Covered: g.Covered, QKC: g.QKC})
-	}
-	return out
 }
 
 // QueryPartial runs one frontier-slice search (POST /v1/query/partial,

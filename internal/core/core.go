@@ -79,7 +79,9 @@ func (o Ordering) String() string {
 
 // Options configures a Search.
 type Options struct {
-	// Ordering picks the candidate ranking (default OrderVKCDegree).
+	// Ordering picks the candidate ranking. The zero value, OrderVKC,
+	// runs KTG-VKC; the root package maps its default algorithm to
+	// OrderVKCDegree.
 	Ordering Ordering
 	// Oracle answers social-distance bounds. nil falls back to the
 	// index-free BFS oracle.

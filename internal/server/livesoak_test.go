@@ -290,9 +290,9 @@ func replay(t *testing.T, view *ktg.LiveView, req *client.Request) string {
 	toGroups := func(gs []ktg.Group) []client.Group {
 		res := make([]client.Group, 0, len(gs))
 		for _, g := range gs {
-			members := make([]int, len(g.Members))
+			members := make([]ktg.Vertex, len(g.Members))
 			for i, m := range g.Members {
-				members[i] = int(m)
+				members[i] = m
 			}
 			res = append(res, client.Group{Members: members, Covered: g.Covered, QKC: g.QKC})
 		}

@@ -44,8 +44,8 @@ const maxMutationBatch = 4096
 // dataset's whole cache share is flushed in one sweep instead.
 const mutationFlushDivisor = 4
 
-// EdgeOpJSON is one edge mutation on the wire.
-type EdgeOpJSON struct {
+// EdgeOp is one edge mutation on the wire.
+type EdgeOp struct {
 	// Op is "insert" or "delete".
 	Op string `json:"op"`
 	U  int64  `json:"u"`
@@ -54,8 +54,8 @@ type EdgeOpJSON struct {
 
 // MutationRequest is the JSON body of POST /v1/edges.
 type MutationRequest struct {
-	Dataset string       `json:"dataset"`
-	Edges   []EdgeOpJSON `json:"edges"`
+	Dataset string   `json:"dataset"`
+	Edges   []EdgeOp `json:"edges"`
 	// TimeoutMillis bounds the admission wait. Once the batch starts
 	// applying it runs to completion: an epoch is published whole or not
 	// at all.

@@ -6,35 +6,26 @@ import (
 	"ktg"
 )
 
-// PartialOfferJSON is one merge-stream offer on the wire: the group plus
-// its (root_pos, seq) position in the deterministic exploration order
-// that the coordinator's merge replays.
-type PartialOfferJSON struct {
-	Members  []ktg.Vertex `json:"members"`
-	Covered  []string     `json:"covered"`
-	QKC      float64      `json:"qkc"`
-	Coverage int          `json:"coverage"`
-	RootPos  int          `json:"root_pos"`
-	Seq      int          `json:"seq"`
-}
-
 // PartialResponse is the JSON body of POST /v1/query/partial: one
 // shard's mergeable slice of a scattered search. Partial mirrors the
 // /v1/query contract (deadline or budget hit); a partial slice makes
 // any merge over it inexact, which the coordinator must surface.
 type PartialResponse struct {
-	Dataset      string             `json:"dataset"`
-	Algorithm    string             `json:"algorithm"`
-	SliceIndex   int                `json:"slice_index"`
-	SliceCount   int                `json:"slice_count"`
-	FrontierSize int                `json:"frontier_size"`
-	QueryWidth   int                `json:"query_width"`
-	Best         int                `json:"best"`
-	Threshold    int                `json:"threshold"`
-	Offers       []PartialOfferJSON `json:"offers"`
+	Dataset      string `json:"dataset"`
+	Algorithm    string `json:"algorithm"`
+	SliceIndex   int    `json:"slice_index"`
+	SliceCount   int    `json:"slice_count"`
+	FrontierSize int    `json:"frontier_size"`
+	QueryWidth   int    `json:"query_width"`
+	Best         int    `json:"best"`
+	Threshold    int    `json:"threshold"`
+	// Offers is the slice's merge stream: each group with its
+	// (root_pos, seq) position in the deterministic exploration order
+	// that the coordinator's merge replays.
+	Offers []ktg.PartialOffer `json:"offers"`
 	// Groups is the shard-local top-N view (diagnostic; merges replay
 	// Offers instead).
-	Groups        []GroupJSON     `json:"groups"`
+	Groups        []ktg.Group     `json:"groups"`
 	Partial       bool            `json:"partial,omitempty"`
 	PartialReason string          `json:"partial_reason,omitempty"`
 	Stats         ktg.SearchStats `json:"stats"`
@@ -72,23 +63,13 @@ func writePartial(w http.ResponseWriter, req *QueryRequest, resp *QueryResponse,
 		QueryWidth:    pr.QueryWidth,
 		Best:          pr.Best,
 		Threshold:     pr.Threshold,
-		Offers:        make([]PartialOfferJSON, 0, len(pr.Offers)),
+		Offers:        append([]ktg.PartialOffer{}, pr.Offers...), // [] when empty, not null
 		Groups:        resp.Groups,
 		Partial:       resp.Partial,
 		PartialReason: resp.PartialReason,
 		Stats:         resp.Stats,
 		Explain:       resp.Explain,
 		Epoch:         resp.Epoch,
-	}
-	for _, o := range pr.Offers {
-		out.Offers = append(out.Offers, PartialOfferJSON{
-			Members:  o.Members,
-			Covered:  o.Covered,
-			QKC:      o.QKC,
-			Coverage: o.Coverage,
-			RootPos:  o.RootPos,
-			Seq:      o.Seq,
-		})
 	}
 	if out.Partial {
 		mPartialTruncated.Inc()

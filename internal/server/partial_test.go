@@ -63,9 +63,9 @@ func TestPartialEndpointMergesToSingleNode(t *testing.T) {
 	if !exact {
 		t.Fatal("full partition merged inexact")
 	}
-	mergedJSON := make([]GroupJSON, 0, len(merged.Groups))
+	mergedJSON := make([]ktg.Group, 0, len(merged.Groups))
 	for _, g := range merged.Groups {
-		mergedJSON = append(mergedJSON, GroupJSON{Members: g.Members, Covered: g.Covered, QKC: g.QKC})
+		mergedJSON = append(mergedJSON, ktg.Group{Members: g.Members, Covered: g.Covered, QKC: g.QKC})
 	}
 	raw, _ := json.Marshal(map[string]any{"groups": mergedJSON})
 	var norm map[string]any

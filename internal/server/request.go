@@ -18,6 +18,14 @@ import (
 // bytes, so 1 MiB is generous.
 const maxBodyBytes = 1 << 20
 
+// The request-shape limits. A server and a coordinator both validate
+// requests through validate, so they reject exactly the same requests.
+const (
+	maxKeywords  = 64
+	maxGroupSize = 16
+	maxTopN      = 100
+)
+
 // Algorithm names accepted on the wire, mapped onto the public enum.
 // "greedy" selects the approximate single-pass search instead.
 var wireAlgorithms = map[string]ktg.Algorithm{
@@ -34,9 +42,11 @@ func AlgorithmNames() []string {
 	return []string{"vkc-deg", "vkc", "qkc", "brute", "greedy"}
 }
 
-// QueryRequest is the JSON body of POST /v1/query and POST /v1/diverse.
-// It mirrors the public ktg.Query / ktg.SearchOptions surface; fields
-// not listed here (tracing, exclusions) are server-controlled.
+// QueryRequest is the JSON body of POST /v1/query, POST /v1/diverse and
+// POST /v1/query/partial, for the server, the coordinator and the
+// client alike. It mirrors the public ktg.Query / ktg.SearchOptions
+// surface; fields not listed here (tracing, exclusions) are
+// server-controlled.
 type QueryRequest struct {
 	// Dataset names one of the datasets the server was started with.
 	Dataset string `json:"dataset"`
@@ -76,20 +86,14 @@ type QueryRequest struct {
 	Explain bool `json:"explain,omitempty"`
 }
 
-// GroupJSON is one result group on the wire.
-type GroupJSON struct {
-	Members []ktg.Vertex `json:"members"`
-	Covered []string     `json:"covered"`
-	QKC     float64      `json:"qkc"`
-}
-
-// QueryResponse is the JSON body of a successful query. Cached entries
-// are shared between requests, so handlers treat it as immutable and
-// copy the struct before stamping per-request fields (Cache).
+// QueryResponse is the JSON body of a successful query, from a server
+// or a coordinator. Cached entries are shared between requests, so
+// handlers treat it as immutable and copy the struct before stamping
+// per-request fields (Cache).
 type QueryResponse struct {
 	Dataset   string      `json:"dataset"`
 	Algorithm string      `json:"algorithm"`
-	Groups    []GroupJSON `json:"groups"`
+	Groups    []ktg.Group `json:"groups"`
 	// Diversity/MinQKC/Score are present for /v1/diverse only.
 	Diversity *float64 `json:"diversity,omitempty"`
 	MinQKC    *float64 `json:"min_qkc,omitempty"`
@@ -120,6 +124,12 @@ type QueryResponse struct {
 	// "shared" (joined an identical in-flight search), or "bypass"
 	// (an explain run, which never touches the cache).
 	Cache string `json:"cache"`
+	// ShardsTotal is a coordinator's fleet size; ShardsFailed counts the
+	// shards that gave no usable answer after client retries. A failed
+	// shard makes a scattered answer "partial": true. A single node sets
+	// neither.
+	ShardsTotal  int `json:"shards_total,omitempty"`
+	ShardsFailed int `json:"shards_failed,omitempty"`
 }
 
 // APIError is a structured 4xx/5xx: it renders as
@@ -136,18 +146,10 @@ func badRequest(code, format string, args ...any) *APIError {
 	return &APIError{Status: http.StatusBadRequest, Code: code, Message: fmt.Sprintf(format, args...)}
 }
 
-// RequestLimits are the validation ceilings a front end enforces, from
-// its MaxKeywords / MaxGroupSize / MaxTopN configuration.
-type RequestLimits struct {
-	MaxKeywords  int
-	MaxGroupSize int
-	MaxTopN      int
-}
-
 // decodeRequest parses and strictly validates a query request body.
 // Unknown JSON fields are rejected so client typos (e.g. "groupsize")
 // fail loudly instead of silently applying defaults.
-func decodeRequest(r *http.Request, kind string, lim RequestLimits) (*QueryRequest, *APIError) {
+func decodeRequest(r *http.Request, kind string) (*QueryRequest, *APIError) {
 	dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	var req QueryRequest
@@ -157,7 +159,7 @@ func decodeRequest(r *http.Request, kind string, lim RequestLimits) (*QueryReque
 	if dec.More() {
 		return nil, badRequest("malformed_body", "request body must contain exactly one JSON object")
 	}
-	if err := req.validate(kind, lim); err != nil {
+	if err := req.validate(kind); err != nil {
 		return nil, err
 	}
 	return &req, nil
@@ -167,15 +169,15 @@ func decodeRequest(r *http.Request, kind string, lim RequestLimits) (*QueryReque
 // exactly as the server's /v1/query (diverse=false) or /v1/diverse
 // (diverse=true) endpoint would. The shard coordinator reuses it so its
 // front-end surface rejects precisely what a single-node server would.
-func DecodeRequest(r *http.Request, diverse bool, lim RequestLimits) (*QueryRequest, *APIError) {
+func DecodeRequest(r *http.Request, diverse bool) (*QueryRequest, *APIError) {
 	kind := kindQuery
 	if diverse {
 		kind = kindDiverse
 	}
-	return decodeRequest(r, kind, lim)
+	return decodeRequest(r, kind)
 }
 
-func (req *QueryRequest) validate(kind string, lim RequestLimits) *APIError {
+func (req *QueryRequest) validate(kind string) *APIError {
 	diverse := kind == kindDiverse
 	if req.Dataset == "" {
 		return badRequest("missing_dataset", "dataset is required")
@@ -183,8 +185,8 @@ func (req *QueryRequest) validate(kind string, lim RequestLimits) *APIError {
 	if len(req.Keywords) == 0 {
 		return badRequest("missing_keywords", "keywords must list at least one keyword")
 	}
-	if len(req.Keywords) > lim.MaxKeywords {
-		return badRequest("too_many_keywords", "keywords lists %d entries, server limit is %d", len(req.Keywords), lim.MaxKeywords)
+	if len(req.Keywords) > maxKeywords {
+		return badRequest("too_many_keywords", "keywords lists %d entries, server limit is %d", len(req.Keywords), maxKeywords)
 	}
 	for i, kw := range req.Keywords {
 		if strings.TrimSpace(kw) == "" {
@@ -194,8 +196,8 @@ func (req *QueryRequest) validate(kind string, lim RequestLimits) *APIError {
 	if req.GroupSize < 1 {
 		return badRequest("invalid_group_size", "group_size must be at least 1, got %d", req.GroupSize)
 	}
-	if req.GroupSize > lim.MaxGroupSize {
-		return badRequest("invalid_group_size", "group_size %d exceeds server limit %d", req.GroupSize, lim.MaxGroupSize)
+	if req.GroupSize > maxGroupSize {
+		return badRequest("invalid_group_size", "group_size %d exceeds server limit %d", req.GroupSize, maxGroupSize)
 	}
 	if req.Tenuity < 0 {
 		return badRequest("invalid_tenuity", "tenuity must be non-negative, got %d", req.Tenuity)
@@ -206,8 +208,8 @@ func (req *QueryRequest) validate(kind string, lim RequestLimits) *APIError {
 	if req.TopN == 0 {
 		req.TopN = 1
 	}
-	if req.TopN > lim.MaxTopN {
-		return badRequest("invalid_top_n", "top_n %d exceeds server limit %d", req.TopN, lim.MaxTopN)
+	if req.TopN > maxTopN {
+		return badRequest("invalid_top_n", "top_n %d exceeds server limit %d", req.TopN, maxTopN)
 	}
 	if _, ok := wireAlgorithms[req.Algorithm]; !ok && req.Algorithm != "greedy" {
 		return badRequest("unknown_algorithm", "unknown algorithm %q (valid: %s)", req.Algorithm, strings.Join(AlgorithmNames(), ", "))

@@ -48,11 +48,6 @@ type Config struct {
 	// (default 2m); larger requests are clamped, not rejected.
 	DefaultTimeout time.Duration
 	MaxTimeout     time.Duration
-	// MaxKeywords / MaxGroupSize / MaxTopN bound request shape
-	// (defaults 64 / 16 / 100).
-	MaxKeywords  int
-	MaxGroupSize int
-	MaxTopN      int
 	// DegradeQueueWait is the graceful-degradation threshold: an exact
 	// /v1/query search that waited at least this long for a worker slot
 	// (or whose wait consumed half its deadline) runs the greedy
@@ -93,15 +88,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxTimeout <= 0 {
 		c.MaxTimeout = 2 * time.Minute
-	}
-	if c.MaxKeywords <= 0 {
-		c.MaxKeywords = 64
-	}
-	if c.MaxGroupSize <= 0 {
-		c.MaxGroupSize = 16
-	}
-	if c.MaxTopN <= 0 {
-		c.MaxTopN = 100
 	}
 	if c.DegradeQueueWait == 0 {
 		c.DegradeQueueWait = 500 * time.Millisecond
@@ -147,7 +133,6 @@ func (ds *Dataset) view() (*ktg.Network, ktg.DistanceIndex, uint64) {
 // Handler(), and call Drain before shutting the http.Server down.
 type Server struct {
 	cfg      Config
-	lim      RequestLimits
 	datasets map[string]*Dataset
 	names    []string
 	adm      *admitter
@@ -164,7 +149,6 @@ func New(cfg Config, datasets ...*Dataset) (*Server, error) {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:      cfg,
-		lim:      RequestLimits{MaxKeywords: cfg.MaxKeywords, MaxGroupSize: cfg.MaxGroupSize, MaxTopN: cfg.MaxTopN},
 		datasets: make(map[string]*Dataset, len(datasets)),
 		adm:      newAdmitter(cfg.Workers, cfg.QueueDepth),
 		cache:    newResultCache(cfg.CacheSize),
@@ -325,7 +309,7 @@ func (s *Server) serveSearch(w http.ResponseWriter, r *http.Request, kind string
 	dsLabel, algLabel := labelUnknown, labelUnknown
 	defer func() { latency.With(dsLabel, algLabel).Observe(time.Since(start).Nanoseconds()) }()
 
-	req, aerr := decodeRequest(r, kind, s.lim)
+	req, aerr := decodeRequest(r, kind)
 	if aerr != nil {
 		s.writeError(w, r, aerr)
 		return
@@ -666,10 +650,7 @@ func (s *Server) runSearch(reqCtx context.Context, req *QueryRequest, ds *Datase
 		// counts this under ktg_server_cancelled_total.
 		return nil, nil, reqCtx.Err()
 	}
-	resp.Groups = make([]GroupJSON, 0, len(res.Groups))
-	for _, g := range res.Groups {
-		resp.Groups = append(resp.Groups, GroupJSON{Members: g.Members, Covered: g.Covered, QKC: g.QKC})
-	}
+	resp.Groups = append([]ktg.Group{}, res.Groups...) // [] when empty, not null
 	resp.Stats = res.Stats
 	switch {
 	case err == nil:
@@ -696,28 +677,36 @@ func (s *Server) runSearch(reqCtx context.Context, req *QueryRequest, ds *Datase
 	return resp, slice, nil
 }
 
+// DatasetList is the JSON body of GET /v1/datasets.
+type DatasetList struct {
+	Datasets []DatasetInfo `json:"datasets"`
+}
+
+// DatasetInfo is one served dataset in the listing. Epoch is omitted
+// for a static dataset.
+type DatasetInfo struct {
+	Name       string             `json:"name"`
+	Vertices   int                `json:"vertices"`
+	Edges      int                `json:"edges"`
+	Vocabulary int                `json:"vocabulary"`
+	Index      string             `json:"index"`
+	Mutable    bool               `json:"mutable,omitempty"`
+	Epoch      uint64             `json:"epoch,omitempty"`
+	Durable    bool               `json:"durable,omitempty"`
+	WAL        *ktg.RecoveryStats `json:"wal,omitempty"`
+}
+
 func (s *Server) handleDatasets(w http.ResponseWriter, _ *http.Request) {
 	mDatasetsRequests.Inc()
 	start := time.Now()
 	defer func() { mDatasetsLatency.Observe(time.Since(start).Nanoseconds()) }()
-	type datasetJSON struct {
-		Name       string             `json:"name"`
-		Vertices   int                `json:"vertices"`
-		Edges      int                `json:"edges"`
-		Vocabulary int                `json:"vocabulary"`
-		Index      string             `json:"index"`
-		Mutable    bool               `json:"mutable,omitempty"`
-		Epoch      uint64             `json:"epoch,omitempty"`
-		Durable    bool               `json:"durable,omitempty"`
-		WAL        *ktg.RecoveryStats `json:"wal,omitempty"`
-	}
-	out := make([]datasetJSON, 0, len(s.names))
+	out := DatasetList{Datasets: make([]DatasetInfo, 0, len(s.names))}
 	for _, name := range s.names {
 		ds := s.datasets[name]
 		// Edge/epoch figures come from the current live view so they track
 		// applied mutations rather than the boot-time snapshot.
 		nw, idx, epoch := ds.view()
-		d := datasetJSON{
+		d := DatasetInfo{
 			Name:       name,
 			Vertices:   nw.NumVertices(),
 			Edges:      nw.NumEdges(),
@@ -733,9 +722,9 @@ func (s *Server) handleDatasets(w http.ResponseWriter, _ *http.Request) {
 			d.Durable = ds.Live.Durable()
 			d.WAL = ds.Live.Recovery()
 		}
-		out = append(out, d)
+		out.Datasets = append(out.Datasets, d)
 	}
-	WriteJSON(w, http.StatusOK, map[string]any{"datasets": out})
+	WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleInvalidate(w http.ResponseWriter, r *http.Request) {

@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"ktg/internal/client"
+	"ktg/internal/server"
 )
 
 func main() {
@@ -192,17 +193,11 @@ func datasetEpoch(addr, dataset string) uint64 {
 	if res.StatusCode != http.StatusOK {
 		fail("mutate: /v1/datasets: status %d", res.StatusCode)
 	}
-	var wire struct {
-		Datasets []struct {
-			Name    string `json:"name"`
-			Mutable bool   `json:"mutable"`
-			Epoch   uint64 `json:"epoch"`
-		} `json:"datasets"`
-	}
-	if err := json.NewDecoder(res.Body).Decode(&wire); err != nil {
+	var list server.DatasetList
+	if err := json.NewDecoder(res.Body).Decode(&list); err != nil {
 		fail("mutate: decoding /v1/datasets: %v", err)
 	}
-	for _, d := range wire.Datasets {
+	for _, d := range list.Datasets {
 		if d.Name == dataset {
 			if d.Epoch != 0 && !d.Mutable {
 				fail("mutate: /v1/datasets reports epoch %d but mutable=false for %q", d.Epoch, dataset)

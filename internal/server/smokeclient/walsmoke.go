@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"ktg/internal/client"
+	"ktg/internal/server"
 )
 
 // walState is what -wal-prepare persists and -wal-verify replays: the
@@ -184,20 +185,8 @@ func waitReady(addr string, patience time.Duration) {
 	}
 }
 
-// durableDatasetJSON is the slice of /v1/datasets wal-verify cares
-// about.
-type durableDatasetJSON struct {
-	Name    string `json:"name"`
-	Mutable bool   `json:"mutable"`
-	Durable bool   `json:"durable"`
-	Epoch   uint64 `json:"epoch"`
-	WAL     *struct {
-		Epoch           uint64 `json:"epoch"`
-		RecordsReplayed int    `json:"records_replayed"`
-	} `json:"wal"`
-}
-
-func durableDataset(addr, dataset string) durableDatasetJSON {
+// durableDataset returns the dataset's row of /v1/datasets.
+func durableDataset(addr, dataset string) server.DatasetInfo {
 	res, err := http.Get("http://" + addr + "/v1/datasets")
 	if err != nil {
 		fail("wal-verify: /v1/datasets: %v", err)
@@ -206,17 +195,15 @@ func durableDataset(addr, dataset string) durableDatasetJSON {
 	if res.StatusCode != http.StatusOK {
 		fail("wal-verify: /v1/datasets: status %d", res.StatusCode)
 	}
-	var wire struct {
-		Datasets []durableDatasetJSON `json:"datasets"`
-	}
-	if err := json.NewDecoder(res.Body).Decode(&wire); err != nil {
+	var list server.DatasetList
+	if err := json.NewDecoder(res.Body).Decode(&list); err != nil {
 		fail("wal-verify: decoding /v1/datasets: %v", err)
 	}
-	for _, d := range wire.Datasets {
+	for _, d := range list.Datasets {
 		if d.Name == dataset {
 			return d
 		}
 	}
 	fail("wal-verify: dataset %q not in /v1/datasets", dataset)
-	return durableDatasetJSON{}
+	return server.DatasetInfo{}
 }

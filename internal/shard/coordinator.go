@@ -47,11 +47,6 @@ type Config struct {
 	// BaseURL is overwritten per shard. The zero value applies the
 	// client package defaults.
 	Client client.Config
-	// MaxKeywords / MaxGroupSize / MaxTopN bound request shape exactly
-	// like a single-node server (defaults 64 / 16 / 100).
-	MaxKeywords  int
-	MaxGroupSize int
-	MaxTopN      int
 	// DefaultTimeout applies when a request carries no timeout_ms
 	// (default 30s); MaxTimeout is the ceiling (default 2m).
 	DefaultTimeout time.Duration
@@ -67,15 +62,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.MaxKeywords <= 0 {
-		c.MaxKeywords = 64
-	}
-	if c.MaxGroupSize <= 0 {
-		c.MaxGroupSize = 16
-	}
-	if c.MaxTopN <= 0 {
-		c.MaxTopN = 100
-	}
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 30 * time.Second
 	}
@@ -102,7 +88,6 @@ type shardConn struct {
 // call Drain before shutting the http.Server down.
 type Coordinator struct {
 	cfg      Config
-	lim      server.RequestLimits
 	shards   []*shardConn
 	scope    *server.Scope
 	draining atomic.Bool
@@ -119,7 +104,6 @@ func New(cfg Config) (*Coordinator, error) {
 	cfg = cfg.withDefaults()
 	co := &Coordinator{
 		cfg:   cfg,
-		lim:   server.RequestLimits{MaxKeywords: cfg.MaxKeywords, MaxGroupSize: cfg.MaxGroupSize, MaxTopN: cfg.MaxTopN},
 		scope: server.NewScope("coord", cfg.Logger, cfg.Recorder, cfg.TraceStore),
 	}
 	seen := make(map[string]bool, len(cfg.Shards))

@@ -167,17 +167,17 @@ func TestCoordinatorMatchesSingleNode(t *testing.T) {
 // traversal. Theorem 3 k-line filtering is threshold-independent, so
 // those rows match unconditionally.
 func TestCoordinatorExplainMergeEqualsSingleNode(t *testing.T) {
-	single := startShard(t, server.Config{MaxTopN: 500})
+	single := startShard(t, server.Config{})
 	shards := []*httptest.Server{
-		startShard(t, server.Config{MaxTopN: 500}),
-		startShard(t, server.Config{MaxTopN: 500}),
+		startShard(t, server.Config{}),
+		startShard(t, server.Config{}),
 	}
-	co := newCoordinator(t, Config{Shards: []string{shards[0].URL, shards[1].URL}, MaxTopN: 500})
+	co := newCoordinator(t, Config{Shards: []string{shards[0].URL, shards[1].URL}})
 
-	// top_n=300 exceeds C(12,3)=220, the number of size-3 groups the
-	// 12-vertex network can possibly hold, so the heap can never fill and
-	// the per-shard searches do exactly the work the single node does.
-	body := `{"dataset":"reviewers","keywords":["SN","QP","DQ","GQ","GD"],"group_size":3,"tenuity":1,"top_n":300,"explain":true}`
+	// top_n=100 exceeds the 51 feasible groups this query has on the
+	// 12-vertex network, so the heap can never fill and the per-shard
+	// searches do exactly the work the single node does.
+	body := `{"dataset":"reviewers","keywords":["SN","QP","DQ","GQ","GD"],"group_size":3,"tenuity":1,"top_n":100,"explain":true}`
 
 	type explained struct {
 		Groups  []any        `json:"groups"`

@@ -9,6 +9,7 @@ import (
 	"slices"
 	"testing"
 
+	"ktg"
 	"ktg/internal/obs"
 	"ktg/internal/server"
 )
@@ -32,8 +33,8 @@ func stubShard(t *testing.T, shape func(slice int) (epoch uint64, frontier int))
 			FrontierSize: frontier,
 			QueryWidth:   len(req.Keywords),
 			Threshold:    -1,
-			Offers:       []server.PartialOfferJSON{},
-			Groups:       []server.GroupJSON{},
+			Offers:       []ktg.PartialOffer{},
+			Groups:       []ktg.Group{},
 			Epoch:        epoch,
 		})
 	}))

@@ -61,18 +61,9 @@ func (co *Coordinator) handleEdges(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), server.Timeout(req.TimeoutMillis, co.cfg.DefaultTimeout, co.cfg.MaxTimeout))
 	defer cancel()
 
-	creq := &client.MutationRequest{
-		Dataset:       req.Dataset,
-		TimeoutMillis: req.TimeoutMillis,
-		Edges:         make([]client.EdgeOp, len(req.Edges)),
-	}
-	for i, e := range req.Edges {
-		creq.Edges[i] = client.EdgeOp{Op: e.Op, U: e.U, V: e.V}
-	}
-
 	total := len(co.shards)
 	results, errs := fanout(co.shards, func(_ int, sh *shardConn) (*client.MutationResponse, error) {
-		return sh.c.MutateEdges(ctx, creq)
+		return sh.c.MutateEdges(ctx, req)
 	})
 
 	resp := &MutationResponse{
@@ -117,9 +108,7 @@ func (co *Coordinator) handleEdges(w http.ResponseWriter, r *http.Request) {
 		// edge, immutable dataset, unknown dataset) are fleet-uniform, so
 		// propagate the first one as-is instead of masking it as a 503.
 		if firstErr != nil && firstErr.Status < 500 && firstErr.Status != http.StatusTooManyRequests {
-			server.Reject(w, r, &server.APIError{
-				Status: firstErr.Status, Code: firstErr.Code, Message: firstErr.Message,
-			})
+			server.Reject(w, r, &firstErr.APIError)
 			return
 		}
 		server.Reject(w, r, &server.APIError{
@@ -149,17 +138,12 @@ func (co *Coordinator) shardEpochs(ctx context.Context, sh *shardConn) map[strin
 	if err != nil {
 		return nil
 	}
-	var wire struct {
-		Datasets []struct {
-			Name  string `json:"name"`
-			Epoch uint64 `json:"epoch"`
-		} `json:"datasets"`
-	}
-	if err := json.Unmarshal(body, &wire); err != nil {
+	var list server.DatasetList
+	if err := json.Unmarshal(body, &list); err != nil {
 		return nil
 	}
 	var out map[string]uint64
-	for _, d := range wire.Datasets {
+	for _, d := range list.Datasets {
 		if d.Epoch == 0 {
 			continue
 		}

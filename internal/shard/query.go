@@ -15,38 +15,6 @@ import (
 	"ktg/internal/server"
 )
 
-// QueryResponse is the coordinator's answer: the single-node
-// QueryResponse shape plus the fleet fields. shards_failed > 0 (always
-// paired with "partial": true on scattered queries) is the explicit
-// signal that shard loss made this answer a best-effort subset — the
-// coordinator never silently returns a wrong-looking-complete result.
-type QueryResponse struct {
-	Dataset        string             `json:"dataset"`
-	Algorithm      string             `json:"algorithm"`
-	Groups         []server.GroupJSON `json:"groups"`
-	Diversity      *float64           `json:"diversity,omitempty"`
-	MinQKC         *float64           `json:"min_qkc,omitempty"`
-	Score          *float64           `json:"score,omitempty"`
-	Partial        bool               `json:"partial,omitempty"`
-	PartialReason  string             `json:"partial_reason,omitempty"`
-	Degraded       bool               `json:"degraded,omitempty"`
-	DegradedReason string             `json:"degraded_reason,omitempty"`
-	Stats          ktg.SearchStats    `json:"stats"`
-	// Epoch is the dataset epoch every contributing shard answered from
-	// (mutable datasets only). Scattered answers are refused with
-	// shard_epoch_skew rather than merged across epochs.
-	Epoch uint64 `json:"epoch,omitempty"`
-	// Explain is the merged explain plan (per-shard counters summed,
-	// bound trajectories interleaved, per-shard breakdown under
-	// "shards"), present only when the request set "explain": true.
-	Explain *ktg.Explain `json:"explain,omitempty"`
-	Cache   string       `json:"cache"`
-	// ShardsTotal is the fleet size; ShardsFailed counts shards that
-	// produced no usable answer for this query after client retries.
-	ShardsTotal  int `json:"shards_total"`
-	ShardsFailed int `json:"shards_failed,omitempty"`
-}
-
 func (co *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 	mQueryRequests.Inc()
 	start := time.Now()
@@ -64,7 +32,7 @@ func (co *Coordinator) handleDiverse(w http.ResponseWriter, r *http.Request) {
 // flight record, then scatter the query over the fleet or forward it to
 // one shard.
 func (co *Coordinator) serve(w http.ResponseWriter, r *http.Request, diverse bool) {
-	req, aerr := server.DecodeRequest(r, diverse, co.lim)
+	req, aerr := server.DecodeRequest(r, diverse)
 	if !co.accept(w, r, aerr) {
 		return
 	}
@@ -82,26 +50,13 @@ func (co *Coordinator) serve(w http.ResponseWriter, r *http.Request, diverse boo
 	co.scatter(w, r, req, alg)
 }
 
-func toClientRequest(req *server.QueryRequest) *client.Request {
-	return &client.Request{
-		Dataset:       req.Dataset,
-		Keywords:      req.Keywords,
-		GroupSize:     req.GroupSize,
-		Tenuity:       req.Tenuity,
-		TopN:          req.TopN,
-		Algorithm:     req.Algorithm,
-		Gamma:         req.Gamma,
-		Seeds:         req.Seeds,
-		TimeoutMillis: req.TimeoutMillis,
-		MaxNodes:      req.MaxNodes,
-		Explain:       req.Explain,
-	}
-}
-
 // scatter partitions the query's candidate frontier across the fleet
 // (slice i of M to shard i), gathers the partial answers, and merges
-// them. Shard failures degrade the answer to an explicitly-partial one;
-// only a fleet-wide failure turns into an error.
+// them. Shard failures degrade the answer to an explicitly-partial one,
+// with shards_failed > 0 — the coordinator never silently returns a
+// wrong-looking-complete result; only a fleet-wide failure turns into
+// an error. Scattered answers are refused with shard_epoch_skew rather
+// than merged across epochs.
 func (co *Coordinator) scatter(w http.ResponseWriter, r *http.Request, req *server.QueryRequest, alg string) {
 	mScatter.Inc()
 	logger := co.scope.Logger(r.Context())
@@ -114,9 +69,9 @@ func (co *Coordinator) scatter(w http.ResponseWriter, r *http.Request, req *serv
 
 	total := len(co.shards)
 	responses, errs := fanout(co.shards, func(i int, sh *shardConn) (*client.PartialResponse, error) {
-		creq := toClientRequest(req)
-		creq.SliceIndex, creq.SliceCount = i, total
-		return sh.c.QueryPartial(ctx, creq)
+		slice := *req
+		slice.SliceIndex, slice.SliceCount = i, total
+		return sh.c.QueryPartial(ctx, &slice)
 	})
 
 	var (
@@ -191,10 +146,10 @@ func (co *Coordinator) scatter(w http.ResponseWriter, r *http.Request, req *serv
 		return
 	}
 
-	resp := &QueryResponse{
+	resp := &server.QueryResponse{
 		Dataset:      responses[firstOK(errs)].Dataset,
 		Algorithm:    alg,
-		Groups:       make([]server.GroupJSON, 0, len(merged.Groups)),
+		Groups:       append([]ktg.Group{}, merged.Groups...), // [] when empty, not null
 		Stats:        merged.Stats,
 		Epoch:        epoch,
 		Cache:        "miss",
@@ -211,9 +166,6 @@ func (co *Coordinator) scatter(w http.ResponseWriter, r *http.Request, req *serv
 		// Wire parity with the single node: explain runs are defined as
 		// cache-bypassing, and the shards did bypass theirs.
 		resp.Cache = "bypass"
-	}
-	for _, g := range merged.Groups {
-		resp.Groups = append(resp.Groups, server.GroupJSON{Members: g.Members, Covered: g.Covered, QKC: g.QKC})
 	}
 	if !exact {
 		resp.Partial = true
@@ -251,7 +203,6 @@ func (co *Coordinator) forward(w http.ResponseWriter, r *http.Request, req *serv
 
 	total := len(co.shards)
 	start := int(co.rr.Add(1)) % total
-	creq := toClientRequest(req)
 	var lastErr error
 	failed := 0
 	for n := 0; n < total; n++ {
@@ -261,19 +212,18 @@ func (co *Coordinator) forward(w http.ResponseWriter, r *http.Request, req *serv
 			err  error
 		)
 		if diverse {
-			resp, err = sh.c.Diverse(ctx, creq)
+			resp, err = sh.c.Diverse(ctx, req)
 		} else {
-			resp, err = sh.c.Query(ctx, creq)
+			resp, err = sh.c.Query(ctx, req)
 		}
 		if err == nil {
-			answer(w, r, forwarded(resp, total, failed))
+			resp.ShardsTotal, resp.ShardsFailed = total, failed
+			answer(w, r, &resp.QueryResponse)
 			return
 		}
 		var apiErr *client.APIError
 		if errors.As(err, &apiErr) && apiErr.Status < 500 && apiErr.Status != http.StatusTooManyRequests {
-			server.Reject(w, r, &server.APIError{
-				Status: apiErr.Status, Code: apiErr.Code, Message: apiErr.Message,
-			})
+			server.Reject(w, r, &apiErr.APIError)
 			return
 		}
 		failed++
@@ -291,40 +241,9 @@ func (co *Coordinator) forward(w http.ResponseWriter, r *http.Request, req *serv
 	})
 }
 
-// forwarded re-shapes a shard's whole answer as the coordinator's
-// response.
-func forwarded(resp *client.Response, total, failed int) *QueryResponse {
-	out := &QueryResponse{
-		Dataset:        resp.Dataset,
-		Algorithm:      resp.Algorithm,
-		Groups:         make([]server.GroupJSON, 0, len(resp.Groups)),
-		Diversity:      resp.Diversity,
-		MinQKC:         resp.MinQKC,
-		Score:          resp.Score,
-		Partial:        resp.Partial,
-		PartialReason:  resp.PartialReason,
-		Degraded:       resp.Degraded,
-		DegradedReason: resp.DegradedReason,
-		Stats:          resp.Stats,
-		Epoch:          resp.Epoch,
-		Explain:        resp.Explain,
-		Cache:          resp.Cache,
-		ShardsTotal:    total,
-		ShardsFailed:   failed,
-	}
-	for _, g := range resp.Groups {
-		members := make([]ktg.Vertex, len(g.Members))
-		for i, m := range g.Members {
-			members[i] = ktg.Vertex(m)
-		}
-		out.Groups = append(out.Groups, server.GroupJSON{Members: members, Covered: g.Covered, QKC: g.QKC})
-	}
-	return out
-}
-
 // answer records a merged or forwarded answer's outcome on the flight
 // record and encodes it.
-func answer(w http.ResponseWriter, r *http.Request, resp *QueryResponse) {
+func answer(w http.ResponseWriter, r *http.Request, resp *server.QueryResponse) {
 	server.RequestRecord(r.Context()).Outcome = server.Outcome(resp.Degraded, resp.Partial)
 	if resp.Partial {
 		mPartialAnswers.Inc()

@@ -17,16 +17,18 @@ type CandidateSlice = core.CandidateSlice
 // PartialOffer is one group accepted into a shard's local top-N heap,
 // tagged with its position in the deterministic exploration order. The
 // tags let MergePartials replay the global offer stream and reproduce
-// single-node results exactly, including tie-breaking.
+// single-node results exactly, including tie-breaking. The JSON form,
+// the group's fields followed by the tags, is the offer a
+// /v1/query/partial answer carries.
 type PartialOffer struct {
 	Group
 	// Coverage is the absolute number of query keywords covered (the
 	// merge ranking key; QKC is this divided by the query width).
-	Coverage int
+	Coverage int `json:"coverage"`
 	// RootPos is the group's depth-0 root index in the sorted frontier.
-	RootPos int
+	RootPos int `json:"root_pos"`
 	// Seq is the acceptance sequence number within that root's subtree.
-	Seq int
+	Seq int `json:"seq"`
 }
 
 // PartialResult is one shard's mergeable search output.

@@ -114,17 +114,18 @@ type SearchOptions struct {
 // result holds the best groups found within the budget.
 var ErrBudgetExhausted = core.ErrBudgetExhausted
 
-// Group is one result group.
+// Group is one result group. The JSON form is the group every /v1
+// answer carries.
 type Group struct {
 	// Members in increasing vertex-id order.
-	Members []Vertex
+	Members []Vertex `json:"members"`
 	// Covered lists the query keywords the members jointly cover.
 	// Groups of one result that cover the same keywords share this
 	// slice; treat it as read-only.
-	Covered []string
+	Covered []string `json:"covered"`
 	// QKC is the group's query keyword coverage in [0, 1]
 	// (|Covered| / |W_Q|).
-	QKC float64
+	QKC float64 `json:"qkc"`
 }
 
 // SearchStats is the record a search fills: effort counters, phase

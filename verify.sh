@@ -238,8 +238,9 @@ done
     -preset brightkite -scale 0.02 -queries 10 -concurrency 2 -seed 42 -n 2
 
 # An exact query with "explain": true through the coordinator must come
-# back with a merged plan attributing both shards, per-depth rows, and
-# cache status "bypass" (explain runs are never cached).
+# back with a merged plan attributing both shards, per-depth rows,
+# cache status "bypass" (explain runs are never cached), and the fleet
+# size the coordinator stamps on the shared answer type.
 curl -fsS -X POST "http://$coord_addr/v1/query" \
     -H 'Content-Type: application/json' \
     -d '{"dataset":"brightkite","keywords":["kw0000","kw0001","kw0002","kw0003"],"group_size":3,"tenuity":1,"top_n":2,"explain":true}' \
@@ -248,6 +249,7 @@ grep -q '"explain"' "$tmp/explain.json"
 grep -Eq '"shard":[[:space:]]*2' "$tmp/explain.json"
 grep -q '"depths"' "$tmp/explain.json"
 grep -Eq '"cache":[[:space:]]*"bypass"' "$tmp/explain.json"
+grep -Eq '"shards_total":[[:space:]]*2' "$tmp/explain.json"
 
 kill -TERM "$coord_pid"
 wait "$coord_pid"
