@@ -1,12 +1,11 @@
-// Command ktgindex builds, inspects, and persists the NL and NLRNL
-// social-distance indexes.
+// Command ktgindex builds and inspects the NL and NLRNL social-distance
+// indexes.
 //
 // Examples:
 //
-//	ktgindex -preset gowalla -scale 0.05              # build both, report stats
-//	ktgindex -preset dblp -kind nlrnl -save dblp.idx  # persist NLRNL (atomic)
-//	ktgindex -preset dblp -kind nl -snapshot nl.snap  # load if valid, else rebuild + re-save
-//	ktgindex -edges g.edges -kind nl -check 3,5,2     # is dist(3,5) <= 2?
+//	ktgindex -preset gowalla -scale 0.05           # build both, report stats
+//	ktgindex -preset dblp -kind nlrnl              # build NLRNL only
+//	ktgindex -edges g.edges -kind nl -check 3,5,2  # is dist(3,5) <= 2?
 package main
 
 import (
@@ -24,14 +23,12 @@ import (
 
 func main() {
 	var (
-		preset   = flag.String("preset", "", "generate this preset instead of loading files")
-		scale    = flag.Float64("scale", 0.05, "preset scale factor")
-		edges    = flag.String("edges", "", "edge-list file")
-		kind     = flag.String("kind", "both", "index kind: nl, nlrnl, both")
-		save     = flag.String("save", "", "persist the built index to this file, crash-atomically (single -kind only)")
-		snapshot = flag.String("snapshot", "", "load the index from this snapshot when valid, rebuild and re-save it otherwise (single -kind only)")
-		check    = flag.String("check", "", "u,v,k triple: report whether dist(u,v) <= k")
-		debug    = flag.String("debug-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address while building")
+		preset = flag.String("preset", "", "generate this preset instead of loading files")
+		scale  = flag.Float64("scale", 0.05, "preset scale factor")
+		edges  = flag.String("edges", "", "edge-list file")
+		kind   = flag.String("kind", "both", "index kind: nl, nlrnl, both")
+		check  = flag.String("check", "", "u,v,k triple: report whether dist(u,v) <= k")
+		debug  = flag.String("debug-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address while building")
 	)
 	flag.Parse()
 
@@ -39,12 +36,6 @@ func main() {
 	if *preset != "" {
 		cliutil.MustChoice("ktgindex", "preset", *preset, ktg.Presets()...)
 		cliutil.MustScale("ktgindex", *scale)
-	}
-	if *snapshot != "" && *kind == "both" {
-		cliutil.BadUsage("ktgindex", "-snapshot needs a single -kind (nl or nlrnl)")
-	}
-	if *snapshot != "" && *save != "" {
-		cliutil.BadUsage("ktgindex", "-snapshot already re-saves; drop -save")
 	}
 
 	if *debug != "" {
@@ -65,46 +56,26 @@ func main() {
 	switch *kind {
 	case "nl", "both":
 		start := time.Now()
-		var nl *ktg.NLIndex
-		if *snapshot != "" {
-			var out ktg.SnapshotOutcome
-			nl, out, err = net.LoadOrBuildNL(*snapshot, 0)
-			reportOutcome(out, *snapshot)
-		} else {
-			nl, err = net.BuildNL(0)
-		}
+		nl, err := net.BuildNL(0)
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("NL:    h=%d, %d entries, %s, ready in %v\n",
+		fmt.Printf("NL:    h=%d, %d entries, %s, built in %v\n",
 			nl.H(), nl.Entries(), formatBytes(nl.SpaceBytes()), time.Since(start).Round(time.Millisecond))
 		built = append(built, nl)
-		if *save != "" && *kind == "nl" {
-			persist(*save, nl.SaveFile)
-		}
 		if *kind == "nl" {
 			break
 		}
 		fallthrough
 	case "nlrnl":
 		start := time.Now()
-		var x *ktg.NLRNLIndex
-		if *snapshot != "" {
-			var out ktg.SnapshotOutcome
-			x, out, err = net.LoadOrBuildNLRNL(*snapshot)
-			reportOutcome(out, *snapshot)
-		} else {
-			x, err = net.BuildNLRNL()
-		}
+		x, err := net.BuildNLRNL()
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("NLRNL: %d entries, %s, ready in %v\n",
+		fmt.Printf("NLRNL: %d entries, %s, built in %v\n",
 			x.Entries(), formatBytes(x.SpaceBytes()), time.Since(start).Round(time.Millisecond))
 		built = append(built, x)
-		if *save != "" && *kind == "nlrnl" {
-			persist(*save, x.SaveFile)
-		}
 	default:
 		fatal(fmt.Errorf("unknown index kind %q", *kind))
 	}
@@ -140,27 +111,6 @@ func loadNetwork(preset string, scale float64, edges string) (*ktg.Network, erro
 	}
 	defer f.Close()
 	return ktg.LoadNetwork(f, nil)
-}
-
-// persist writes the index crash-atomically via its SaveFile method.
-func persist(path string, save func(path string) error) {
-	if err := save(path); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("saved index to %s\n", path)
-}
-
-// reportOutcome explains how -snapshot resolved: used as-is, or why it
-// forced a rebuild.
-func reportOutcome(out ktg.SnapshotOutcome, path string) {
-	switch {
-	case out.Loaded:
-		fmt.Printf("snapshot %s loaded\n", path)
-	case out.Saved:
-		fmt.Printf("snapshot %s unusable (%s); index rebuilt and re-saved\n", path, out.Reason)
-	default:
-		fmt.Printf("snapshot %s unusable (%s); index rebuilt (re-save failed: %v)\n", path, out.Reason, out.SaveErr)
-	}
 }
 
 func formatBytes(n int64) string {

@@ -43,14 +43,9 @@
 // carries a deadline (its timeout_ms, else -timeout, capped by
 // -max-timeout) that cancels the search core mid-flight.
 //
-// With -snapshots DIR each dataset's distance index is loaded from a
-// checksummed snapshot (<dir>/<dataset>.<kind>.snap) when it is valid
-// for the served graph, and rebuilt then re-saved crash-atomically when
-// it is missing, corrupt, version-skewed, or fingerprint-mismatched —
-// snapshot damage costs a rebuild, never a failed startup. Under
-// sustained overload, exact /v1/query searches that waited longer than
-// -degrade-wait for a worker slot run the greedy algorithm instead and
-// say so via "degraded": true.
+// Under sustained overload, exact /v1/query searches that waited longer
+// than -degrade-wait for a worker slot run the greedy algorithm instead
+// and say so via "degraded": true.
 //
 // SIGINT/SIGTERM drains gracefully: readiness flips and new queries get
 // 503 while the listener stays open for -drain-grace, admitted searches
@@ -99,7 +94,6 @@ func main() {
 		walDir       = flag.String("wal-dir", "", "durable-mutation mode (requires -mutable): write-ahead-log every acked edge batch under <dir>/<dataset>/ and recover the exact pre-crash epoch on restart")
 		walSync      = flag.String("wal-sync", "always", "WAL fsync policy: always (ack = durable), interval (background fsync), off (OS decides)")
 		walCkptEvery = flag.Uint64("wal-checkpoint-every", 64, "snapshot the live graph and retire WAL segments every N epochs (0 disables checkpointing)")
-		snapshots    = flag.String("snapshots", "", "directory for index snapshots: load on startup when valid, rebuild and re-save otherwise (empty = always build in memory)")
 		degradeWait  = flag.Duration("degrade-wait", 500*time.Millisecond, "queue wait beyond which exact searches degrade to greedy (negative disables)")
 		workers      = flag.Int("workers", 0, "max concurrent searches (0 = GOMAXPROCS)")
 		queue        = flag.Int("queue", 0, "max requests waiting for a worker (0 = 2x workers, negative = none)")
@@ -189,12 +183,6 @@ func main() {
 			"endpoints", "/metrics /debug/vars /debug/pprof/")
 	}
 
-	if *snapshots != "" {
-		if err := os.MkdirAll(*snapshots, 0o755); err != nil {
-			fatal(logger, err)
-		}
-	}
-
 	// The root handler is swappable so a durable (-wal-dir) boot can open
 	// the listener before WAL recovery: probes and early clients get the
 	// RecoveryGate's honest 503 {"replaying": true, ...} instead of a
@@ -241,14 +229,14 @@ func main() {
 		if err != nil {
 			fatal(logger, err)
 		}
-		datasets = append(datasets, prepare(logger, name, nw, *indexKind, *snapshots, *mutable, dur))
+		datasets = append(datasets, prepare(logger, name, nw, *indexKind, *mutable, dur))
 	}
 	if *edges != "" {
 		nw, err := loadNetwork(*edges, *attrs)
 		if err != nil {
 			fatal(logger, err)
 		}
-		datasets = append(datasets, prepare(logger, *dsName, nw, *indexKind, *snapshots, *mutable, dur))
+		datasets = append(datasets, prepare(logger, *dsName, nw, *indexKind, *mutable, dur))
 	}
 
 	srv, err := server.New(server.Config{
@@ -353,47 +341,28 @@ type durability struct {
 
 // prepare attaches the logger and builds the shared distance index for
 // one dataset. "bfs" leaves the index nil: the per-instance BFS oracle
-// is not safe to share, so each search gets a private one. With a
-// snapshot directory the index is loaded from
-// <dir>/<dataset>.<kind>.snap when that file is valid for this graph,
-// and rebuilt + re-saved crash-atomically otherwise — a corrupt or
-// stale snapshot costs a rebuild, never a failed startup. mutable wraps
+// is not safe to share, so each search gets a private one. mutable wraps
 // the network + index into a ktg.LiveNetwork so POST /v1/edges can
 // publish new epochs; ownership of the index transfers to the live
 // handle, searches resolve it through the current epoch's view.
-func prepare(logger *slog.Logger, name string, nw *ktg.Network, indexKind, snapDir string, mutable bool, dur *durability) *server.Dataset {
+func prepare(logger *slog.Logger, name string, nw *ktg.Network, indexKind string, mutable bool, dur *durability) *server.Dataset {
 	nw.SetLogger(logger)
 	ds := &server.Dataset{Name: name, Network: nw}
 	start := time.Now()
-	var (
-		err error
-		out ktg.SnapshotOutcome
-	)
-	snapPath := ""
-	if snapDir != "" && indexKind != "bfs" {
-		snapPath = filepath.Join(snapDir, name+"."+indexKind+".snap")
-	}
-	switch {
-	case indexKind == "bfs":
+	var err error
+	switch indexKind {
+	case "bfs":
 		liveWrap(logger, ds, mutable, dur)
 		logger.Info("dataset ready", "dataset", name, "index", "BFS (per-search)",
 			"mutable", mutable, "vertices", nw.NumVertices(), "edges", nw.NumEdges())
 		return ds
-	case indexKind == "nl" && snapPath != "":
-		ds.Index, out, err = nw.LoadOrBuildNL(snapPath, 0)
-	case indexKind == "nl":
+	case "nl":
 		ds.Index, err = nw.BuildNL(0)
-	case snapPath != "":
-		ds.Index, out, err = nw.LoadOrBuildNLRNL(snapPath)
 	default:
 		ds.Index, err = nw.BuildNLRNL()
 	}
 	if err != nil {
 		fatal(logger, err)
-	}
-	if snapPath != "" {
-		logger.Info("index snapshot outcome", "dataset", name, "path", snapPath,
-			"reason", out.Reason, "loaded", out.Loaded, "resaved", out.Saved)
 	}
 	liveWrap(logger, ds, mutable, dur)
 	logger.Info("dataset ready", "dataset", name, "index", ds.Index.Name(),

@@ -2,9 +2,10 @@
 // conflict-free reviewer panels from a DBLP-like collaboration network.
 //
 // This example demonstrates the full production path: generate (or load)
-// a network, persist and reuse an NLRNL index, exclude the paper's
-// authors and their collaborators with QueryVertices, and compare the
-// plain top-N result with the diversified DKTG result.
+// a network, build an NLRNL index once and share it across searches,
+// exclude the paper's authors and their collaborators with
+// QueryVertices, and compare the plain top-N result with the diversified
+// DKTG result.
 //
 // Run with:
 //
@@ -12,7 +13,6 @@
 package main
 
 import (
-	"bytes"
 	"fmt"
 	"log"
 	"time"
@@ -28,25 +28,13 @@ func main() {
 	}
 	fmt.Println(net)
 
-	// Build the NLRNL distance index once; in production you would save
-	// it next to the dataset and reload it per process.
+	// Build the NLRNL distance index once; every search below shares it.
 	start := time.Now()
 	idx, err := net.BuildNLRNL()
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("NLRNL index: %d entries, built in %v\n", idx.Entries(), time.Since(start).Round(time.Millisecond))
-
-	var snapshot bytes.Buffer
-	if err := idx.Save(&snapshot); err != nil {
-		log.Fatal(err)
-	}
-	snapshotSize := snapshot.Len()
-	idx2, err := net.LoadNLRNL(&snapshot)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("index snapshot round-trip: %d bytes\n", snapshotSize)
 
 	// The paper under review is tagged with the dataset's five most
 	// popular topics, and was written by authors 10 and 42: nobody
@@ -58,7 +46,7 @@ func main() {
 
 	start = time.Now()
 	res, err := net.Search(query, ktg.SearchOptions{
-		Index:         idx2,
+		Index:         idx,
 		QueryVertices: authors,
 	})
 	if err != nil {
@@ -71,7 +59,7 @@ func main() {
 	// returns disjoint panels so a declined invitation has a fallback.
 	start = time.Now()
 	diverse, err := net.SearchDiverse(query, ktg.DiverseOptions{
-		SearchOptions: ktg.SearchOptions{Index: idx2, QueryVertices: authors},
+		SearchOptions: ktg.SearchOptions{Index: idx, QueryVertices: authors},
 		Gamma:         0.5,
 	})
 	if err != nil {

@@ -1,10 +1,6 @@
 package ktg
 
-import (
-	"io"
-
-	"ktg/internal/index"
-)
+import "ktg/internal/index"
 
 // DistanceIndex answers bounded social-distance queries: Within reports
 // whether the hop distance between u and v is at most k. All indexes
@@ -15,11 +11,10 @@ import (
 // single instance may be shared by concurrent searches — the query
 // server relies on this. Exceptions: NLRNLIndex.InsertEdge/RemoveEdge
 // mutate the index in place and must not run concurrently with queries
-// (use them only on an index no search is reading — e.g. offline
-// maintenance of a snapshot), and the index-free Network.NewBFSIndex
-// keeps per-instance traversal scratch, so give each goroutine its own
-// (or leave SearchOptions.Index nil, which allocates a private BFS
-// oracle per search).
+// (use them only on an index no search is reading), and the index-free
+// Network.NewBFSIndex keeps per-instance traversal scratch, so give each
+// goroutine its own (or leave SearchOptions.Index nil, which allocates a
+// private BFS oracle per search).
 //
 // To mutate a *served* dataset, wrap network + index in a LiveNetwork
 // instead: ApplyEdges applies each batch to a private copy-on-write
@@ -71,19 +66,6 @@ func (x *NLIndex) SpaceBytes() int64 { return x.nl.SpaceBytes() }
 // Entries returns the number of stored (vertex, neighbor) pairs.
 func (x *NLIndex) Entries() int64 { return x.nl.Entries() }
 
-// Save persists the index; load it again with Network.LoadNL.
-func (x *NLIndex) Save(w io.Writer) error { return x.nl.Save(w) }
-
-// LoadNL restores an NL index previously written with NLIndex.Save. The
-// receiver must be the network the index was built from.
-func (n *Network) LoadNL(r io.Reader) (*NLIndex, error) {
-	nl, err := index.ReadNL(r, n.g)
-	if err != nil {
-		return nil, err
-	}
-	return &NLIndex{nl: nl}, nil
-}
-
 // NLRNLIndex is the paper's (c-1)-hop neighbors list + reverse c-hop
 // neighbors list index: every distance check is a handful of binary
 // searches, at the price of a heavier build. It also supports dynamic
@@ -117,9 +99,6 @@ func (x *NLRNLIndex) SpaceBytes() int64 { return x.x.SpaceBytes() }
 
 // Entries returns the number of stored (vertex, neighbor) pairs.
 func (x *NLRNLIndex) Entries() int64 { return x.x.Entries() }
-
-// Save persists the index; load it again with Network.LoadNLRNL.
-func (x *NLRNLIndex) Save(w io.Writer) error { return x.x.Save(w) }
 
 // InsertEdge adds the social tie {u, v} to the index's own copy of the
 // graph and incrementally repairs the index. The originating Network is
@@ -168,14 +147,3 @@ func (x *PLLIndex) Entries() int64 { return x.x.Entries() }
 
 // AverageLabelSize returns the mean per-vertex label length.
 func (x *PLLIndex) AverageLabelSize() float64 { return x.x.AverageLabelSize() }
-
-// LoadNLRNL restores an NLRNL index previously written with
-// NLRNLIndex.Save. The receiver must be the network the index was built
-// from.
-func (n *Network) LoadNLRNL(r io.Reader) (*NLRNLIndex, error) {
-	x, err := index.ReadNLRNL(r, n.g)
-	if err != nil {
-		return nil, err
-	}
-	return &NLRNLIndex{x: x}, nil
-}

@@ -84,7 +84,7 @@ func TestReadBinaryRejectsGarbage(t *testing.T) {
 	cases := [][]byte{
 		nil,
 		[]byte("not a graph at all"),
-		[]byte("KTGG\x01"), // magic only, truncated
+		[]byte("KTGG\x01"), // a magic other than the container's
 	}
 	for i, in := range cases {
 		if _, err := ReadBinary(bytes.NewReader(in)); err == nil {
@@ -100,10 +100,10 @@ func TestReadBinaryRejectsCorruptOffsets(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
-	// Flip a byte inside the offsets region (after magic + two uint64s).
-	raw[len(binaryMagic)+16+3] ^= 0xFF
+	// Flip byte 24, inside the container's checksummed header.
+	raw[24] ^= 0xFF
 	if _, err := ReadBinary(bytes.NewReader(raw)); err == nil {
-		t.Fatal("ReadBinary accepted corrupt offsets")
+		t.Fatal("ReadBinary accepted a corrupt header byte")
 	}
 }
 

@@ -1,7 +1,6 @@
 package index
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -265,8 +264,8 @@ func TestNLRNLRemoveBridgeSplitsComponents(t *testing.T) {
 func TestQuickNLRNLUpdatesMatchRebuild(t *testing.T) {
 	// After a random sequence of edge insertions and deletions the
 	// incrementally-maintained index must behave exactly like the BFS
-	// ground truth on the final graph, and Save the same bytes as a
-	// fresh build of it.
+	// ground truth on the final graph, hold that graph itself, and hold
+	// the same lists as a fresh build of it.
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		g := randomTopology(r)
@@ -292,94 +291,14 @@ func TestQuickNLRNLUpdatesMatchRebuild(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		var got, want bytes.Buffer
-		if x.Save(&got) != nil || fresh.Save(&want) != nil || !bytes.Equal(got.Bytes(), want.Bytes()) {
+		if d := nlrnlDiff(x, fresh); d != "" {
+			t.Logf("seed %d: repaired index differs from a rebuild at %s", seed, d)
 			return false
 		}
 		return oracleAgreesWithBFS(final, x, 6)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestNLSerializationRoundTrip(t *testing.T) {
-	g := fixture()
-	nl, err := BuildNL(g, NLOptions{H: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := nl.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	nl2, err := ReadNL(&buf, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nl2.H() != 2 {
-		t.Errorf("loaded h = %d, want 2", nl2.H())
-	}
-	checkOracleExact(t, g, nl2, 8)
-}
-
-func TestNLRNLSerializationRoundTrip(t *testing.T) {
-	g := fixture()
-	x, err := BuildNLRNL(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := x.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	x2, err := ReadNLRNL(&buf, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkOracleExact(t, g, x2, 8)
-	// The loaded index must still support dynamic maintenance.
-	x2.InsertEdge(5, 10)
-	m := graph.MutableFrom(g)
-	m.AddEdge(5, 10)
-	checkOracleExact(t, m.Freeze(), x2, 8)
-}
-
-func TestSerializationRejectsGarbage(t *testing.T) {
-	g := fixture()
-	if _, err := ReadNL(bytes.NewReader([]byte("junk")), g); err == nil {
-		t.Error("ReadNL accepted garbage")
-	}
-	if _, err := ReadNLRNL(bytes.NewReader([]byte("garbage!")), g); err == nil {
-		t.Error("ReadNLRNL accepted garbage")
-	}
-	// Swapped magics must be rejected.
-	nl, err := BuildNL(g, NLOptions{H: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := nl.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadNLRNL(&buf, g); err == nil {
-		t.Error("ReadNLRNL accepted an NL file")
-	}
-}
-
-func TestSerializationRejectsWrongGraphSize(t *testing.T) {
-	g := fixture()
-	x, err := BuildNLRNL(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := x.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	small := graph.FromEdges(3, [][2]graph.Vertex{{0, 1}})
-	if _, err := ReadNLRNL(&buf, small); err == nil {
-		t.Error("ReadNLRNL accepted a mismatched graph")
 	}
 }
 

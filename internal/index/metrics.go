@@ -2,39 +2,11 @@ package index
 
 import "ktg/internal/obs"
 
-// Default-registry metrics shared by the index builders and the binary
-// (de)serializers; they surface on /metrics and /debug/vars whenever a
-// debug server is running.
+// Default-registry metrics of the index builders; they surface on
+// /metrics and /debug/vars whenever a debug server is running.
 var (
 	mIndexBuilds = obs.Default().Counter(
 		"ktg_index_builds_total", "distance indexes constructed (NL + NLRNL)")
 	mIndexBuildNanos = obs.Default().Histogram(
 		"ktg_index_build_ns", "wall-clock index construction time in nanoseconds")
-	mIndexSaves = obs.Default().Counter(
-		"ktg_index_serialize_total", "index snapshots written")
-	mIndexLoads = obs.Default().Counter(
-		"ktg_index_deserialize_total", "index snapshots read")
-	mIndexSerializeNanos = obs.Default().Histogram(
-		"ktg_index_serialize_ns", "wall-clock index save/load time in nanoseconds")
-)
-
-// Snapshot recovery metrics: LoadOrBuild* records whether the on-disk
-// snapshot was usable, and when not, why it fell back to a rebuild.
-var (
-	mSnapLoads = obs.Default().Counter(
-		"ktg_index_snapshot_loads_total", "index snapshots loaded and used as-is")
-	mSnapRebuildMissing = obs.Default().Counter(
-		"ktg_index_snapshot_rebuilt_missing_total", "rebuilds because no snapshot existed")
-	mSnapRebuildVersion = obs.Default().Counter(
-		"ktg_index_snapshot_rebuilt_version_total", "rebuilds because the snapshot format version is unsupported")
-	mSnapRebuildFingerprint = obs.Default().Counter(
-		"ktg_index_snapshot_rebuilt_fingerprint_total", "rebuilds because the snapshot was built for a different graph")
-	mSnapRebuildParam = obs.Default().Counter(
-		"ktg_index_snapshot_rebuilt_param_total", "rebuilds because the snapshot build parameters disagree with the request")
-	mSnapRebuildCorrupt = obs.Default().Counter(
-		"ktg_index_snapshot_rebuilt_corrupt_total", "rebuilds because checksum or payload validation failed")
-	mSnapSaved = obs.Default().Counter(
-		"ktg_index_snapshot_saved_total", "rebuilt indexes re-persisted crash-atomically")
-	mSnapSaveErrors = obs.Default().Counter(
-		"ktg_index_snapshot_save_errors_total", "snapshot re-save attempts that failed (non-fatal)")
 )

@@ -1,5 +1,7 @@
-// Package persist implements the shared framed snapshot container
-// (format v2) used by the graph and index serializers.
+// Package persist implements the framed snapshot container (format v2)
+// that graph snapshots, and so the WAL's checkpoints, are written in,
+// plus the crash-atomic file write and the sentinel errors the WAL
+// shares.
 //
 // A container is laid out as
 //
@@ -9,10 +11,9 @@
 //	end      'E' | strict EOF (any trailing byte is corruption)
 //
 // where the header records the format version, the snapshot kind, one
-// builder parameter (the NL index's h; 0 when not applicable), and a
-// fingerprint of the graph the payload was built from (vertex count,
-// adjacency length, CRC64 of the CSR arrays). Section payloads are
-// split into chunks
+// builder parameter (0 for a graph), and a fingerprint of the graph the
+// payload was built from (vertex count, adjacency length, CRC64 of the
+// CSR arrays). Section payloads are split into chunks
 //
 //	u32 len (1..maxChunkLen) | payload | u32 CRC32C(payload)
 //
@@ -25,8 +26,7 @@
 // All corruption findings wrap ErrCorrupt; a recognised container with
 // an unsupported version wraps ErrVersionSkew; loaders that compare the
 // header fingerprint against a live graph report ErrFingerprintMismatch.
-// Callers (index.LoadOrBuild*) use these sentinels to pick a rebuild
-// reason instead of serving a wrong-answer index.
+// Callers match them with errors.Is to tell damage from skew.
 package persist
 
 import (
@@ -142,10 +142,12 @@ type Header struct {
 	// FormatVersion when zero; NewReader rejects anything else with
 	// ErrVersionSkew.
 	Version uint32
-	// Kind names the payload type ("graph", "nl", "nlrnl").
+	// Kind names the payload type ("graph").
 	Kind string
-	// Param carries one builder parameter (the NL index's h); 0 when
-	// the kind has none.
+	// Param carries one builder parameter. No writer sets it any more
+	// (a graph has none, so it is 0), but it stays in the layout: the
+	// checkpoint files on disk carry it, and changing the header would
+	// need a new FormatVersion.
 	Param uint32
 	// Graph fingerprints the topology the payload was built from.
 	Graph Fingerprint

@@ -8,14 +8,6 @@ import (
 	"io"
 )
 
-// SniffContainer reports whether br starts with the framed-container
-// magic, without consuming it. Loaders use it to route between the v2
-// container and the legacy headerless formats.
-func SniffContainer(br *bufio.Reader) bool {
-	head, err := br.Peek(len(Magic))
-	return err == nil && bytes.Equal(head, []byte(Magic))
-}
-
 // Reader parses one framed snapshot container. Sections must be
 // consumed in the order they were written; Close drains any unread
 // remainder (still verifying checksums), checks the end frame, and

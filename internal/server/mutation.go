@@ -62,7 +62,8 @@ type MutationRequest struct {
 	TimeoutMillis int64 `json:"timeout_ms,omitempty"`
 }
 
-// MutationResponse is the JSON body of a successful POST /v1/edges.
+// MutationResponse is the JSON body of a successful POST /v1/edges,
+// from a single node or a coordinator.
 type MutationResponse struct {
 	Dataset string `json:"dataset"`
 	// Epoch is the epoch serving after the batch: previous+1 when any op
@@ -76,9 +77,29 @@ type MutationResponse struct {
 	AffectedVertices int `json:"affected_vertices"`
 	// CacheInvalidated counts cached results dropped because their query
 	// keywords intersect the mutation's affected keywords; CacheFlushed
-	// reports that the whole dataset share was dropped instead.
+	// reports that the whole dataset share was dropped instead. A
+	// coordinator sums CacheInvalidated over its shards and sets
+	// CacheFlushed when any shard flushed.
 	CacheInvalidated int  `json:"cache_invalidated"`
 	CacheFlushed     bool `json:"cache_flushed"`
+	// The fleet fields are a coordinator's; a single node sets none.
+	// ShardsTotal is the fleet size and ShardsOK the shards that applied
+	// the batch; Shards holds each one's outcome. EpochSkew flags shards
+	// that ended on different epochs (a prior batch landed partially, or
+	// a mutation bypassed the coordinator).
+	EpochSkew   bool            `json:"epoch_skew,omitempty"`
+	ShardsTotal int             `json:"shards_total,omitempty"`
+	ShardsOK    int             `json:"shards_ok,omitempty"`
+	Shards      []ShardMutation `json:"shards,omitempty"`
+}
+
+// ShardMutation is one shard's outcome inside a coordinator's edge
+// batch.
+type ShardMutation struct {
+	URL     string `json:"url"`
+	Epoch   uint64 `json:"epoch,omitempty"`
+	Applied int    `json:"applied"`
+	Ignored int    `json:"ignored"`
 }
 
 // DecodeMutation parses and strictly validates a POST /v1/edges body

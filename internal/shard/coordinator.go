@@ -14,7 +14,8 @@
 // groups but flags the response with "partial": true and a non-zero
 // "shards_failed" — a wrong-looking-complete answer is the one outcome
 // the design rules out. Only when every shard fails does the query
-// error (503). Greedy, brute-force, and diverse searches do not
+// error: with the shards' own rejection when the request is at fault (a
+// 404 for an unknown dataset, as a single node answers), else 503. Greedy, brute-force, and diverse searches do not
 // decompose into mergeable slices; they are forwarded whole to one
 // shard with failover.
 package shard

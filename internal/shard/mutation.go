@@ -3,7 +3,6 @@ package shard
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -12,29 +11,6 @@ import (
 	"ktg/internal/obs"
 	"ktg/internal/server"
 )
-
-// shardMutation is one shard's outcome inside a fanned-out edge batch.
-type shardMutation struct {
-	URL     string `json:"url"`
-	Epoch   uint64 `json:"epoch,omitempty"`
-	Applied int    `json:"applied"`
-	Ignored int    `json:"ignored"`
-	Error   string `json:"error,omitempty"`
-}
-
-// MutationResponse is the coordinator's answer to POST /v1/edges: the
-// fleet-wide view of one edge batch.
-type MutationResponse struct {
-	Dataset string `json:"dataset"`
-	// Epoch is the highest epoch any shard reported after the batch;
-	// EpochSkew flags that shards disagreed (a prior batch landed
-	// partially, or out-of-band mutations bypassed the coordinator).
-	Epoch       uint64          `json:"epoch"`
-	EpochSkew   bool            `json:"epoch_skew,omitempty"`
-	ShardsTotal int             `json:"shards_total"`
-	ShardsOK    int             `json:"shards_ok"`
-	Shards      []shardMutation `json:"shards"`
-}
 
 // handleEdges fans one edge batch out to every shard through the
 // resilient clients (retries and breakers, never hedging — the client
@@ -45,6 +21,15 @@ type MutationResponse struct {
 // without minting another epoch); until convergence the scatter path's
 // shard_epoch_skew refusal keeps cross-epoch merges from serving. Only
 // a fleet-wide failure answers 503.
+//
+// A fleet-wide landing answers a single node's MutationResponse plus
+// the fleet fields. Epoch, swapped, applied, ignored and affected
+// vertices are one shard's: the one at the highest epoch that applied
+// the most ops. When the fleet agrees they are every shard's. A resend
+// that catches a lagging shard up is where they differ: that shard
+// applies what the others ignore, and its outcome is reported, so the
+// answer still says what the batch changed. Cache invalidations are
+// summed over the shards.
 func (co *Coordinator) handleEdges(w http.ResponseWriter, r *http.Request) {
 	mMutationRequests.Inc()
 	logger := co.scope.Logger(r.Context())
@@ -66,39 +51,42 @@ func (co *Coordinator) handleEdges(w http.ResponseWriter, r *http.Request) {
 		return sh.c.MutateEdges(ctx, req)
 	})
 
-	resp := &MutationResponse{
+	resp := &server.MutationResponse{
 		Dataset:     req.Dataset,
 		ShardsTotal: total,
-		Shards:      make([]shardMutation, total),
+		Shards:      make([]server.ShardMutation, total),
 	}
-	var firstErr *client.APIError
-	var lastErr error
+	var (
+		lead     *client.MutationResponse
+		rejected *client.APIError
+		lastErr  error
+	)
 	for i, res := range results {
-		row := shardMutation{URL: co.shards[i].base}
+		row := server.ShardMutation{URL: co.shards[i].base}
 		if errs[i] != nil {
 			lastErr = errs[i]
-			row.Error = errs[i].Error()
-			if firstErr == nil {
-				var apiErr *client.APIError
-				if errors.As(errs[i], &apiErr) {
-					firstErr = apiErr
-				}
+			if rejected == nil {
+				rejected = rejection(errs[i])
 			}
 			mShardFailures.With(co.shards[i].base).Inc()
 			logger.Warn("shard failed edge batch", "shard", co.shards[i].base, "err", errs[i])
 		} else {
 			resp.ShardsOK++
 			row.Epoch, row.Applied, row.Ignored = res.Epoch, res.Applied, res.Ignored
-			if res.Epoch > resp.Epoch {
-				if resp.Epoch != 0 {
-					resp.EpochSkew = true
-				}
-				resp.Epoch = res.Epoch
-			} else if res.Epoch < resp.Epoch {
+			resp.CacheInvalidated += res.CacheInvalidated
+			resp.CacheFlushed = resp.CacheFlushed || res.CacheFlushed
+			if lead != nil && res.Epoch != lead.Epoch {
 				resp.EpochSkew = true
+			}
+			if lead == nil || res.Epoch > lead.Epoch || (res.Epoch == lead.Epoch && res.Applied > lead.Applied) {
+				lead = res
 			}
 		}
 		resp.Shards[i] = row
+	}
+	if lead != nil {
+		resp.Epoch, resp.Swapped = lead.Epoch, lead.Swapped
+		resp.Applied, resp.Ignored, resp.AffectedVertices = lead.Applied, lead.Ignored, lead.AffectedVertices
 	}
 	span.SetAttr("shards_ok", strconv.Itoa(resp.ShardsOK))
 
@@ -106,9 +94,9 @@ func (co *Coordinator) handleEdges(w http.ResponseWriter, r *http.Request) {
 	case resp.ShardsOK == 0:
 		// Nothing landed anywhere. Structured 4xx rejections (invalid
 		// edge, immutable dataset, unknown dataset) are fleet-uniform, so
-		// propagate the first one as-is instead of masking it as a 503.
-		if firstErr != nil && firstErr.Status < 500 && firstErr.Status != http.StatusTooManyRequests {
-			server.Reject(w, r, &firstErr.APIError)
+		// propagate one as-is instead of masking it as a 503.
+		if rejected != nil {
+			server.Reject(w, r, &rejected.APIError)
 			return
 		}
 		server.Reject(w, r, &server.APIError{

@@ -55,7 +55,7 @@ func (co *Coordinator) serve(w http.ResponseWriter, r *http.Request, diverse boo
 // them. Shard failures degrade the answer to an explicitly-partial one,
 // with shards_failed > 0 — the coordinator never silently returns a
 // wrong-looking-complete result; only a fleet-wide failure turns into
-// an error. Scattered answers are refused with shard_epoch_skew rather
+// an error, the shards' rejection when the request is at fault. Scattered answers are refused with shard_epoch_skew rather
 // than merged across epochs.
 func (co *Coordinator) scatter(w http.ResponseWriter, r *http.Request, req *server.QueryRequest, alg string) {
 	mScatter.Inc()
@@ -81,6 +81,7 @@ func (co *Coordinator) scatter(w http.ResponseWriter, r *http.Request, req *serv
 		offers    int64
 		failed    int
 		lastErr   error
+		rejected  *client.APIError
 		truncated string
 		epoch     uint64
 		epochSkew bool
@@ -89,6 +90,9 @@ func (co *Coordinator) scatter(w http.ResponseWriter, r *http.Request, req *serv
 		if errs[i] != nil {
 			failed++
 			lastErr = errs[i]
+			if rejected == nil {
+				rejected = rejection(errs[i])
+			}
 			mShardFailures.With(co.shards[i].base).Inc()
 			logger.Warn("shard failed during scatter",
 				"shard", co.shards[i].base, "slice", i, "err", errs[i])
@@ -110,6 +114,10 @@ func (co *Coordinator) scatter(w http.ResponseWriter, r *http.Request, req *serv
 		}
 	}
 	if len(parts) == 0 {
+		if rejected != nil {
+			server.Reject(w, r, &rejected.APIError)
+			return
+		}
 		server.Reject(w, r, &server.APIError{
 			Status:  http.StatusServiceUnavailable,
 			Code:    "all_shards_failed",
@@ -192,6 +200,19 @@ func firstOK(errs []error) int {
 	return 0
 }
 
+// rejection returns a shard's structured rejection when the request,
+// not the shard, is at fault: a 4xx other than 429, such as an unknown
+// dataset or an invalid edge. Every shard holds the same datasets, so
+// the fleet passes it through as a single node would answer. Transport
+// failures, 429s and 5xx are the shard's own and yield nil.
+func rejection(err error) *client.APIError {
+	var apiErr *client.APIError
+	if errors.As(err, &apiErr) && apiErr.Status < 500 && apiErr.Status != http.StatusTooManyRequests {
+		return apiErr
+	}
+	return nil
+}
+
 // forward sends the query whole to one shard, failing over across the
 // fleet. Structured 4xx rejections are the caller's bug and propagate
 // immediately; transport/5xx failures try the next shard.
@@ -221,9 +242,8 @@ func (co *Coordinator) forward(w http.ResponseWriter, r *http.Request, req *serv
 			answer(w, r, &resp.QueryResponse)
 			return
 		}
-		var apiErr *client.APIError
-		if errors.As(err, &apiErr) && apiErr.Status < 500 && apiErr.Status != http.StatusTooManyRequests {
-			server.Reject(w, r, &apiErr.APIError)
+		if rejected := rejection(err); rejected != nil {
+			server.Reject(w, r, &rejected.APIError)
 			return
 		}
 		failed++

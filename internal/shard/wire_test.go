@@ -2,7 +2,9 @@ package shard_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -11,6 +13,7 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 
 	"ktg"
 	"ktg/internal/client"
@@ -116,16 +119,15 @@ func maskWire(raw []byte, shards []string) []byte {
 }
 
 // clientBody returns the client type that decodes a 200 answer of the
-// case's endpoint, or nil when no client call reads that answer: the
-// dataset listing, and a coordinator's edge answer, which is its fleet
-// view of the batch.
-func clientBody(fe frontEnd, c wireCase) any {
-	switch {
-	case c.path == "/v1/query" || c.path == "/v1/diverse":
+// case's endpoint, or nil for the dataset listing, which no client call
+// reads.
+func clientBody(c wireCase) any {
+	switch c.path {
+	case "/v1/query", "/v1/diverse":
 		return new(client.Response)
-	case c.path == "/v1/query/partial":
+	case "/v1/query/partial":
 		return new(client.PartialResponse)
-	case c.path == "/v1/edges" && fe.shards == nil:
+	case "/v1/edges":
 		return new(client.MutationResponse)
 	}
 	return nil
@@ -160,7 +162,7 @@ func TestWireGolden(t *testing.T) {
 			fmt.Fprintf(&got, "=== %s %s %s (%s)\n%d\n", fe.name, c.method, c.path, c.name, res.StatusCode)
 			got.Write(maskWire(raw, fe.shards))
 
-			body := clientBody(fe, c)
+			body := clientBody(c)
 			if res.StatusCode != http.StatusOK || body == nil {
 				continue
 			}
@@ -192,6 +194,57 @@ func TestWireGolden(t *testing.T) {
 		if g != w {
 			t.Fatalf("wire section %d differs from testdata/wire.golden\nwant:\n%s\ngot:\n%s", i, w, g)
 		}
+	}
+}
+
+// fleetClient is a client of one front end with fast retries, so a
+// test that expects no retry fails fast when one happens.
+func fleetClient(t *testing.T, fe frontEnd) *client.Client {
+	t.Helper()
+	c, err := client.New(client.Config{BaseURL: fe.url, MaxAttempts: 4, BackoffBase: time.Millisecond, BackoffCap: 2 * time.Millisecond, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestCoordinatorUnknownDatasetIs404: a query for a dataset no shard
+// serves gets the single node's 404 unknown_dataset from the
+// coordinator on the first attempt, not a 503 the client retries.
+func TestCoordinatorUnknownDatasetIs404(t *testing.T) {
+	c := fleetClient(t, startFrontEnds(t)[2])
+	_, err := c.Query(context.Background(), &client.Request{Dataset: "nope", Keywords: []string{"SN"}, GroupSize: 2, Tenuity: 1})
+	var apiErr *client.APIError
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusNotFound || apiErr.Code != "unknown_dataset" {
+		t.Fatalf("coordinator answered %v, want a 404 unknown_dataset", err)
+	}
+	if n := c.Stats().Attempts; n != 1 {
+		t.Fatalf("the client made %d attempts, want 1", n)
+	}
+}
+
+// TestCoordinatorMutateEdgesReadsLikeSingleNode: client.MutateEdges
+// through a coordinator reads the outcome a single live node reports
+// for the same batch.
+func TestCoordinatorMutateEdgesReadsLikeSingleNode(t *testing.T) {
+	fronts := startFrontEnds(t)
+	batch := &client.MutationRequest{Dataset: "reviewers", Edges: []client.EdgeOp{
+		{Op: "insert", U: 1, V: 5}, {Op: "delete", U: 0, V: 1}, {Op: "delete", U: 1, V: 2},
+	}}
+	single, err := fleetClient(t, fronts[1]).MutateEdges(context.Background(), batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleet, err := fleetClient(t, fronts[2]).MutateEdges(context.Background(), batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !single.Swapped || single.Applied == 0 {
+		t.Fatalf("the single node did not apply the batch: %+v", single.MutationResponse)
+	}
+	if !fleet.Swapped || fleet.Epoch != single.Epoch || fleet.Applied != single.Applied ||
+		fleet.Ignored != single.Ignored || fleet.AffectedVertices != single.AffectedVertices || fleet.EpochSkew {
+		t.Fatalf("coordinator outcome %+v, single node %+v", fleet.MutationResponse, single.MutationResponse)
 	}
 }
 

@@ -11,10 +11,10 @@ import (
 )
 
 // FuzzReplayWAL feeds arbitrary bytes to the log as segment content,
-// under the same contract FuzzReadNL enforces for snapshots: recovery
-// must never panic, every rejection must be a typed error, and an
-// accepted log must replay to an internally consistent, and — for the
-// untouched golden bytes — byte-identical, view.
+// under the same contract FuzzReadBinary enforces for checkpoints:
+// recovery must never panic, every rejection must be a typed error,
+// and an accepted log must replay to an internally consistent, and —
+// for the untouched golden bytes — byte-identical, view.
 func FuzzReplayWAL(f *testing.F) {
 	golden := f.TempDir()
 	buildGolden := func(dir string) (segBytes []byte, finalState string) {

@@ -1,7 +1,6 @@
 package ktg_test
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -178,16 +177,6 @@ func TestSearchRejectsOutOfRangeQueryVertex(t *testing.T) {
 		if _, err := n.SearchDiverse(q, ktg.DiverseOptions{SearchOptions: opts, Gamma: 0.5}); err == nil {
 			t.Errorf("index %v: out-of-range query vertex accepted by a diverse search", idx)
 		}
-	}
-}
-
-func TestIndexLoadErrors(t *testing.T) {
-	n := reviewerNetwork(t)
-	if _, err := n.LoadNL(bytes.NewReader([]byte("garbage"))); err == nil {
-		t.Error("LoadNL accepted garbage")
-	}
-	if _, err := n.LoadNLRNL(bytes.NewReader([]byte("garbage"))); err == nil {
-		t.Error("LoadNLRNL accepted garbage")
 	}
 }
 

@@ -114,44 +114,6 @@ func TestSearchWithIndexes(t *testing.T) {
 	}
 }
 
-func TestIndexPersistence(t *testing.T) {
-	n := reviewerNetwork(t)
-	nl, err := n.BuildNL(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := nl.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	nl2, err := n.LoadNL(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nl2.H() != nl.H() || nl2.Entries() != nl.Entries() {
-		t.Error("loaded NL differs from saved")
-	}
-
-	nlrnl, err := n.BuildNLRNL()
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf.Reset()
-	if err := nlrnl.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	nlrnl2, err := n.LoadNLRNL(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nlrnl2.Entries() != nlrnl.Entries() {
-		t.Error("loaded NLRNL differs from saved")
-	}
-	if d := nlrnl2.Distance(3, 5); d != 3 {
-		t.Errorf("Distance(3,5) = %d, want 3", d)
-	}
-}
-
 func TestDynamicIndexUpdates(t *testing.T) {
 	n := reviewerNetwork(t)
 	idx, err := n.BuildNLRNL()

@@ -1,8 +1,7 @@
 #!/bin/sh
 # Repo verification gate: build everything, vet, run the full test
 # suite under the race detector, then smoke the query server end to
-# end — including snapshot corruption recovery. CI and pre-commit both
-# run this.
+# end. CI and pre-commit both run this.
 set -eux
 
 cd "$(dirname "$0")"
@@ -37,6 +36,9 @@ go test -race ./...
 # Every index build and repair runs on the bit-parallel BFS kernel;
 # fuzz it against the single-source Traverser beyond its seed corpus.
 go test ./internal/graph -run '^$' -fuzz FuzzMultiBFS -fuzztime 10s
+# A durable dataset's restart reads its checkpoint with ReadBinary; fuzz
+# the reader: an accepted input must be the saved container, unchanged.
+go test ./internal/graph -run '^$' -fuzz FuzzReadBinary -fuzztime 10s
 # Every search compiles its query from the keyword postings; fuzz the
 # compile against the per-vertex reference compile.
 go test ./internal/keywords -run '^$' -fuzz FuzzCompileQuery -fuzztime 10s
@@ -146,36 +148,6 @@ grep -q "recovering=true" "$tmp/wal2.log"
 "$tmp/ktgload" -addr "$addr" -preset brightkite -scale 0.02 \
     -queries 10 -concurrency 2 -seed 43 -mutate-rate 0.3 -mutate-batch 4 \
     -require-epoch-file "$tmp/wal.epoch"
-stop_server
-
-# --- snapshot corruption recovery smoke ------------------------------
-# First boot with -snapshots builds the index and saves a snapshot.
-# Corrupt one byte in the middle of that file; the next boot must
-# detect it (reason=corrupt), rebuild from the graph, heal the file,
-# and still answer queries. A third boot must load the healed snapshot.
-snaps="$tmp/snaps"
-snap="$snaps/brightkite.nl.snap"
-
-boot_server "$tmp/snap1.log" -index nl -snapshots "$snaps"
-go run ./internal/server/smokeclient -addr "$addr"
-stop_server
-grep -q "reason=missing" "$tmp/snap1.log"
-[ -s "$snap" ]
-
-# Overwrite the middle byte with its successor mod 256 (guaranteed change).
-size=$(wc -c < "$snap")
-off=$((size / 2))
-byte=$(od -An -tu1 -j "$off" -N1 "$snap" | tr -d ' ')
-printf "$(printf '\\%03o' $(( (byte + 1) % 256 )))" \
-    | dd of="$snap" bs=1 seek="$off" count=1 conv=notrunc 2>/dev/null
-
-boot_server "$tmp/snap2.log" -index nl -snapshots "$snaps"
-grep -q "reason=corrupt" "$tmp/snap2.log"
-go run ./internal/server/smokeclient -addr "$addr"
-stop_server
-
-boot_server "$tmp/snap3.log" -index nl -snapshots "$snaps"
-grep -q "reason=loaded" "$tmp/snap3.log"
 stop_server
 
 # --- chaos / resilient-client smoke ----------------------------------
