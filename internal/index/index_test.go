@@ -2,6 +2,7 @@ package index
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -300,6 +301,112 @@ func TestQuickNLRNLUpdatesMatchRebuild(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// edgeOp is one edge change of a test batch.
+type edgeOp struct {
+	insert bool
+	u, v   graph.Vertex
+}
+
+// batchOps draws one batch for g: random ops, an insert and a later
+// delete of one absent edge, a repeat of that insert and a self-loop
+// (both ignored), an edge that merges two components, and the deletion
+// of every edge of one vertex, which splits its component.
+func batchOps(r *rand.Rand, g *graph.Mutable) []edgeOp {
+	n := g.NumVertices()
+	rv := func() graph.Vertex { return graph.Vertex(r.Intn(n)) }
+	var ops []edgeOp
+	for i := 0; i < 4; i++ {
+		ops = append(ops, edgeOp{r.Intn(2) == 0, rv(), rv()})
+	}
+	if u, v := rv(), rv(); u != v && !g.HasEdge(u, v) {
+		ops = append(ops, edgeOp{true, u, v}, edgeOp{true, v, u}, edgeOp{false, u, v})
+	}
+	ops = append(ops, edgeOp{false, 3 % graph.Vertex(n), 3 % graph.Vertex(n)})
+	comp, _ := graph.Components(g)
+	if u, v := rv(), rv(); comp[u] != comp[v] {
+		ops = append(ops, edgeOp{true, u, v})
+	}
+	a := rv()
+	for _, b := range g.Neighbors(a) {
+		ops = append(ops, edgeOp{false, a, b})
+	}
+	return ops
+}
+
+// TestQuickNLRNLBatchRepair marks random batches op by op and flushes
+// each once: every op must report exactly EdgeAffected on the graph
+// before it, and after the flush the index must equal a fresh build of
+// the final graph.
+func TestQuickNLRNLBatchRepair(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		g := randomComponents(r, 20+r.Intn(120), 1+r.Intn(3), 0.03+0.1*r.Float64())
+		x, err := BuildNLRNL(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := graph.MutableFrom(g)
+		for batch := 0; batch < 3; batch++ {
+			for _, op := range batchOps(r, m) {
+				changes := op.u != op.v && m.HasEdge(op.u, op.v) != op.insert
+				var want []graph.Vertex
+				if changes {
+					want = EdgeAffected(m, op.insert, op.u, op.v)
+					if op.insert {
+						m.AddEdge(op.u, op.v)
+					} else {
+						m.RemoveEdge(op.u, op.v)
+					}
+				}
+				ok, got := x.ApplyEdge(op.insert, op.u, op.v)
+				if ok != changes || !slices.Equal(got, want) {
+					t.Logf("seed %d: %+v reported (%v, %v), want (%v, %v)", seed, op, ok, got, changes, want)
+					return false
+				}
+			}
+			x.Flush()
+			fresh, err := BuildNLRNL(m.Freeze())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := nlrnlDiff(x, fresh); d != "" {
+				t.Logf("seed %d batch %d: flushed index differs from a rebuild at %s", seed, batch, d)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestNLRNLCloneKeepsMarks takes a Clone between the marks and the
+// flush: the clone and the original each flush to a fresh build of the
+// changed graph, whichever flushes first.
+func TestNLRNLCloneKeepsMarks(t *testing.T) {
+	r := rand.New(rand.NewSource(29))
+	g := randomComponents(r, 150, 2, 0.04)
+	x, err := BuildNLRNL(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := graph.MutableFrom(g)
+	for _, op := range batchOps(r, m) {
+		x.ApplyEdge(op.insert, op.u, op.v)
+		ApplyEdge(m, op.insert, op.u, op.v)
+	}
+	y := x.Clone()
+	fresh, err := BuildNLRNL(m.Freeze())
+	if err != nil {
+		t.Fatal(err)
+	}
+	x.Flush()
+	requireSameNLRNL(t, "original", x, fresh)
+	y.Flush()
+	requireSameNLRNL(t, "clone", y, fresh)
 }
 
 func TestSpaceAccounting(t *testing.T) {

@@ -2,34 +2,88 @@ package index
 
 import (
 	"math/bits"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"ktg/internal/graph"
 )
 
 // levelPass builds per-vertex hop-level lists, graph.MaxSources vertices
-// at a time, from the multi-source BFS kernel. A first kernel run counts
+// at a time, from one run of the multi-source BFS kernel. The run counts
 // each source's vertices per level, so every list is allocated at its
-// exact size; a second run copies them. The kernel reports each level in
-// ascending id, so the lists come out sorted.
+// exact size, and records each level's vertices and source masks; fill
+// then copies the lists out of that record. The kernel reports each
+// level in ascending id, so the lists come out sorted.
 type levelPass struct {
 	bfs    *graph.MultiBFS
 	counts [][graph.MaxSources]int32 // counts[d-1][i]: kept vertices at distance d from the i-th source
 	drop   []uint64                  // drop[d]: sources whose level d is not stored
 	lists  [graph.MaxSources][]graph.Vertex
 	pos    [graph.MaxSources]int32
+
+	// The record of the last count: level d holds verts[ends[d-2]:ends[d-1]]
+	// (from 0 for d = 1), each with the mask of the sources that keep it.
+	verts []graph.Vertex
+	masks []uint64
+	ends  []int
 }
 
-func newLevelPass(n int) *levelPass {
-	return &levelPass{bfs: graph.NewMultiBFS(n)}
+// runPasses splits vertices (ascending) into passes of up to
+// graph.MaxSources sources and calls pass on each, from
+// min(GOMAXPROCS, passes) workers that take passes in turn. Each worker
+// has its own levelPass; pass must write only state that belongs to its
+// own sources, so the result is the same for any number of workers.
+func runPasses(n int, vertices []graph.Vertex, pass func(p *levelPass, srcs []graph.Vertex)) {
+	passes := (len(vertices) + graph.MaxSources - 1) / graph.MaxSources
+	var next atomic.Int64
+	work := func() {
+		p := &levelPass{bfs: graph.NewMultiBFS(n)}
+		for i := int(next.Add(1) - 1); i < passes; i = int(next.Add(1) - 1) {
+			lo := i * graph.MaxSources
+			pass(p, vertices[lo:min(lo+graph.MaxSources, len(vertices))])
+		}
+	}
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), passes) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
 }
 
 // count runs the kernel from srcs (ascending, at most graph.MaxSources)
-// up to maxHops levels and fills p.counts. With above set, a vertex
-// counts only for the sources with smaller ids: NLRNL stores the pair
-// {a, b} under min(a, b) alone. It clears p.drop.
+// up to maxHops levels, fills p.counts and records the levels for fill.
+// With above set, a vertex counts only for the sources with smaller ids:
+// NLRNL stores the pair {a, b} under min(a, b) alone. It clears p.drop.
 func (p *levelPass) count(g graph.Topology, srcs []graph.Vertex, maxHops int, above bool) {
-	p.counts = p.counts[:0]
-	p.scan(g, srcs, maxHops, above, true)
+	p.counts, p.verts, p.masks, p.ends = p.counts[:0], p.verts[:0], p.masks[:0], p.ends[:0]
+	p.bfs.Run(g, srcs, maxHops, func(d int, verts []graph.Vertex, masks []uint64) {
+		p.counts = append(p.counts, [graph.MaxSources]int32{})
+		row := &p.counts[d-1]
+		below := 0 // srcs[:below] have ids below w
+		for j, w := range verts {
+			m := masks[j]
+			if above {
+				for below < len(srcs) && srcs[below] < w {
+					below++
+				}
+				if m &= uint64(1)<<below - 1; m == 0 {
+					continue
+				}
+			}
+			p.verts = append(p.verts, w)
+			p.masks = append(p.masks, m)
+			for ; m != 0; m &= m - 1 {
+				row[bits.TrailingZeros64(m)]++
+			}
+		}
+		p.ends = append(p.ends, len(p.verts))
+	})
 	// drop is indexed by level, and NLRNL drops level 1 even when no
 	// level was reached.
 	p.drop = append(p.drop[:0], make([]uint64, len(p.counts)+2)...)
@@ -59,40 +113,22 @@ func (p *levelPass) alloc(i int, out func(d int, l []graph.Vertex)) {
 	}
 }
 
-// fill reruns the search of the matching count call and copies every
-// kept vertex into the backing arrays alloc handed out.
-func (p *levelPass) fill(g graph.Topology, srcs []graph.Vertex, maxHops int, above bool) {
-	p.scan(g, srcs, maxHops, above, false)
-}
-
-func (p *levelPass) scan(g graph.Topology, srcs []graph.Vertex, maxHops int, above, counting bool) {
-	p.bfs.Run(g, srcs, maxHops, func(d int, verts []graph.Vertex, masks []uint64) {
-		if counting {
-			p.counts = append(p.counts, [graph.MaxSources]int32{})
-		}
-		row := &p.counts[d-1]
-		below := 0 // srcs[:below] have ids below w
-		for j, w := range verts {
-			m := masks[j]
-			if above {
-				for below < len(srcs) && srcs[below] < w {
-					below++
-				}
-				m &= uint64(1)<<below - 1
-			}
-			if counting {
-				for ; m != 0; m &= m - 1 {
-					row[bits.TrailingZeros64(m)]++
-				}
-				continue
-			}
-			for m &^= p.drop[d]; m != 0; m &= m - 1 {
+// fill copies every recorded vertex of a level the source keeps into
+// the backing arrays alloc handed out.
+func (p *levelPass) fill() {
+	lo := 0
+	for d, hi := range p.ends {
+		drop := p.drop[d+1]
+		for j := lo; j < hi; j++ {
+			w := p.verts[j]
+			for m := p.masks[j] &^ drop; m != 0; m &= m - 1 {
 				i := bits.TrailingZeros64(m)
 				p.lists[i][p.pos[i]] = w
 				p.pos[i]++
 			}
 		}
-	})
+		lo = hi
+	}
 }
 
 // EdgeAffected returns, in ascending id, the vertices whose distance
@@ -140,4 +176,23 @@ func EdgeAffected(g graph.Topology, insert bool, u, v graph.Vertex) []graph.Vert
 		}
 	}
 	return out
+}
+
+// ApplyEdge inserts (insert) or deletes the edge {u, v} in g when that
+// changes g, and then returns true with the vertices whose distance
+// vectors the change may alter, judged by EdgeAffected before it. A
+// duplicate insert, a missing delete, a self-loop or an endpoint outside
+// g leaves g as it is and returns (false, nil).
+func ApplyEdge(g *graph.Mutable, insert bool, u, v graph.Vertex) (bool, []graph.Vertex) {
+	n := g.NumVertices()
+	if u == v || int(u) >= n || int(v) >= n || g.HasEdge(u, v) == insert {
+		return false, nil
+	}
+	affected := EdgeAffected(g, insert, u, v)
+	if insert {
+		g.AddEdge(u, v)
+	} else {
+		g.RemoveEdge(u, v)
+	}
+	return true, affected
 }

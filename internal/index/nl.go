@@ -59,7 +59,8 @@ type NLOptions struct {
 	Logger *slog.Logger
 }
 
-// BuildNL constructs the NL index for g.
+// BuildNL constructs the NL index for g. Its 64-source kernel passes
+// run on GOMAXPROCS workers, and the index is the same for any number.
 func BuildNL(g graph.Topology, opts NLOptions) (*NL, error) {
 	n := g.NumVertices()
 	h := opts.H
@@ -80,21 +81,15 @@ func BuildNL(g graph.Topology, opts NLOptions) (*NL, error) {
 		levels: make([][][]graph.Vertex, n),
 	}
 	nl.initScratch(n)
-	p := newLevelPass(n)
-	srcs := make([]graph.Vertex, 0, graph.MaxSources)
-	for lo := 0; lo < n; lo += graph.MaxSources {
-		srcs = srcs[:0]
-		for v := lo; v < n && v < lo+graph.MaxSources; v++ {
-			srcs = append(srcs, graph.Vertex(v))
-		}
+	runPasses(n, allVertices(n), func(p *levelPass, srcs []graph.Vertex) {
 		p.count(g, srcs, h, false)
 		for i, v := range srcs {
 			levels := make([][]graph.Vertex, h)
 			p.alloc(i, func(d int, l []graph.Vertex) { levels[d-1] = l })
 			nl.levels[v] = levels
 		}
-		p.fill(g, srcs, h, false)
-	}
+		p.fill()
+	})
 	elapsed := time.Since(start)
 	obs.Or(opts.Logger).Debug("ktg: NL index built",
 		"vertices", n, "h", h, "entries", nl.Entries(), "dur", elapsed)

@@ -2,6 +2,8 @@ package index
 
 import (
 	"log/slog"
+	"math/bits"
+	"slices"
 	"time"
 
 	"ktg/internal/graph"
@@ -20,26 +22,36 @@ import (
 // is stored only under min(a, b), and every lookup routes through the
 // smaller id.
 //
-// NLRNL owns a mutable copy of the graph so that InsertEdge / RemoveEdge
-// can maintain the index incrementally (the update scheme sketched in
-// Section V-B): an update recomputes lists only for the vertices whose
-// distance vector can have changed, identified from the BFS distance
-// fields of the edge's endpoints.
+// NLRNL owns a mutable copy of the graph so that edge changes can be
+// maintained incrementally (the update scheme sketched in Section V-B).
+// ApplyEdge changes the graph and marks the vertices whose distance
+// vectors the change may alter, identified from the BFS distance fields
+// of the edge's endpoints; Flush then rebuilds the union of the marked
+// vertices and relabels the components, once for a whole batch of
+// changes. InsertEdge and RemoveEdge are one change and its flush.
+// Builds and flushes run their 64-source kernel passes on GOMAXPROCS
+// workers; the index is the same for any number.
 //
 // Within and Distance only read the built lists, so any number of
-// goroutines may query one NLRNL concurrently. InsertEdge / RemoveEdge
+// goroutines may query one NLRNL concurrently. They must not run between
+// an ApplyEdge and the Flush that follows it, when the lists of the
+// marked vertices are stale. ApplyEdge, Flush, InsertEdge and RemoveEdge
 // mutate the index in place and must not run concurrently with queries
 // or each other; live serving therefore never mutates a published NLRNL.
 // Instead the epoch layer (internal/live) Clones the current index,
-// applies a batch to the private copy, and publishes the copy with an
-// atomic pointer swap — readers keep querying the old epoch and never
-// block on writers.
+// applies and flushes a batch on the private copy, and publishes the
+// copy with an atomic pointer swap — readers keep querying the old epoch
+// and never block on writers.
 type NLRNL struct {
 	g    *graph.Mutable
 	comp []int32
 	c    []int32
 	fwd  [][][]graph.Vertex // fwd[a][d-1]: ids > a at distance d (d = 1..c-1)
 	rev  [][][]graph.Vertex // rev[a][j]:   ids > a at distance c+1+j
+
+	// marked is a bitset of the vertices ApplyEdge marked since the last
+	// Flush; nil when none is.
+	marked []uint64
 }
 
 // NLRNLOptions configures BuildNLRNLWith.
@@ -65,11 +77,7 @@ func BuildNLRNLWith(g graph.Topology, opts NLRNLOptions) (*NLRNL, error) {
 		rev: make([][][]graph.Vertex, n),
 	}
 	x.comp, _ = graph.Components(x.g)
-	all := make([]graph.Vertex, n)
-	for a := range all {
-		all[a] = graph.Vertex(a)
-	}
-	x.rebuild(newLevelPass(n), all)
+	x.rebuild(allVertices(n))
 	elapsed := time.Since(start)
 	obs.Or(opts.Logger).Debug("ktg: NLRNL index built",
 		"vertices", n, "entries", x.Entries(), "dur", elapsed)
@@ -81,10 +89,8 @@ func BuildNLRNLWith(g graph.Topology, opts NLRNLOptions) (*NLRNL, error) {
 // rebuild recomputes the c values and lists of vertices (ascending ids),
 // graph.MaxSources of them per kernel pass. Every rebuilt vertex gets
 // freshly allocated lists; none is written in place.
-func (x *NLRNL) rebuild(p *levelPass, vertices []graph.Vertex) {
-	for len(vertices) > 0 {
-		srcs := vertices[:min(graph.MaxSources, len(vertices))]
-		vertices = vertices[len(srcs):]
+func (x *NLRNL) rebuild(vertices []graph.Vertex) {
+	runPasses(len(x.c), vertices, func(p *levelPass, srcs []graph.Vertex) {
 		p.count(x.g, srcs, -1, true)
 		for i, a := range srcs {
 			// c is the most populated level (smallest wins ties); with
@@ -115,8 +121,17 @@ func (x *NLRNL) rebuild(p *levelPass, vertices []graph.Vertex) {
 			})
 			x.fwd[a], x.rev[a] = fwd, rev
 		}
-		p.fill(x.g, srcs, -1, true)
+		p.fill()
+	})
+}
+
+// allVertices returns the ids 0..n-1.
+func allVertices(n int) []graph.Vertex {
+	all := make([]graph.Vertex, n)
+	for a := range all {
+		all[a] = graph.Vertex(a)
 	}
+	return all
 }
 
 // Name returns "NLRNL".
@@ -231,56 +246,56 @@ func (x *NLRNL) Entries() int64 {
 	return total
 }
 
-// InsertEdge adds the undirected edge {u, v} to the indexed graph and
-// repairs the index. Only the vertices EdgeAffected names are rebuilt.
-// It reports whether the edge was new.
-func (x *NLRNL) InsertEdge(u, v graph.Vertex) bool {
-	ok, _ := x.InsertEdgeAffected(u, v)
-	return ok
+// ApplyEdge inserts (insert) or deletes the undirected edge {u, v} in
+// the indexed graph and marks the vertices whose distance vectors the
+// change may alter, which it returns (see the package function
+// ApplyEdge). It reports whether the graph changed. The marked vertices'
+// lists stay stale until Flush.
+func (x *NLRNL) ApplyEdge(insert bool, u, v graph.Vertex) (bool, []graph.Vertex) {
+	ok, affected := ApplyEdge(x.g, insert, u, v)
+	if ok && x.marked == nil {
+		x.marked = make([]uint64, (len(x.c)+63)/64)
+	}
+	for _, a := range affected {
+		x.marked[a/64] |= 1 << (a % 64)
+	}
+	return ok, affected
 }
 
-// InsertEdgeAffected is InsertEdge returning the set of vertices whose
-// lists were rebuilt — exactly the vertices whose distance vector may
-// have changed, which is what the serving layer needs for result-cache
-// invalidation scoped to the mutation. The slice is nil when the edge
-// already existed.
-func (x *NLRNL) InsertEdgeAffected(u, v graph.Vertex) (bool, []graph.Vertex) {
-	if u == v || int(u) >= len(x.c) || int(v) >= len(x.c) || x.g.HasEdge(u, v) {
-		return false, nil
+// Flush rebuilds the lists of every vertex marked since the last Flush,
+// on the graph as it is now, and relabels the components. Without marks
+// it does nothing.
+func (x *NLRNL) Flush() {
+	if x.marked == nil {
+		return
 	}
-	return true, x.repair(true, u, v)
+	var vertices []graph.Vertex
+	for i, w := range x.marked {
+		for ; w != 0; w &= w - 1 {
+			vertices = append(vertices, graph.Vertex(i*64+bits.TrailingZeros64(w)))
+		}
+	}
+	x.marked = nil
+	x.rebuild(vertices)
+	x.comp, _ = graph.Components(x.g)
+}
+
+// InsertEdge adds the undirected edge {u, v} to the indexed graph and
+// repairs the index: ApplyEdge, then Flush. It reports whether the edge
+// was new.
+func (x *NLRNL) InsertEdge(u, v graph.Vertex) bool {
+	ok, _ := x.ApplyEdge(true, u, v)
+	x.Flush()
+	return ok
 }
 
 // RemoveEdge deletes the undirected edge {u, v} from the indexed graph
-// and repairs the index. Only the vertices EdgeAffected names are
-// rebuilt. It reports whether the edge existed.
+// and repairs the index: ApplyEdge, then Flush. It reports whether the
+// edge existed.
 func (x *NLRNL) RemoveEdge(u, v graph.Vertex) bool {
-	ok, _ := x.RemoveEdgeAffected(u, v)
+	ok, _ := x.ApplyEdge(false, u, v)
+	x.Flush()
 	return ok
-}
-
-// RemoveEdgeAffected is RemoveEdge returning the set of vertices whose
-// lists were rebuilt (see InsertEdgeAffected). The slice is nil when the
-// edge did not exist.
-func (x *NLRNL) RemoveEdgeAffected(u, v graph.Vertex) (bool, []graph.Vertex) {
-	if u == v || int(u) >= len(x.c) || int(v) >= len(x.c) || !x.g.HasEdge(u, v) {
-		return false, nil
-	}
-	return true, x.repair(false, u, v)
-}
-
-// repair applies one edge change that is known to take effect, rebuilds
-// the affected vertices and returns them.
-func (x *NLRNL) repair(insert bool, u, v graph.Vertex) []graph.Vertex {
-	affected := EdgeAffected(x.g, insert, u, v)
-	if insert {
-		x.g.AddEdge(u, v)
-	} else {
-		x.g.RemoveEdge(u, v)
-	}
-	x.rebuild(newLevelPass(len(x.c)), affected)
-	x.comp, _ = graph.Components(x.g)
-	return affected
 }
 
 // Clone returns a copy of the index that can be mutated independently of
@@ -288,14 +303,16 @@ func (x *NLRNL) repair(insert bool, u, v graph.Vertex) []graph.Vertex {
 // forward/reverse lists are shared copy-on-write — rebuild always
 // replaces a vertex's lists wholesale and never edits them in place, so
 // mutating the clone rebuilds (and thereby unshares) exactly the affected
-// vertices while readers of the original keep seeing its old lists.
+// vertices while readers of the original keep seeing its old lists. The
+// copy keeps the original's pending marks, so its Flush repairs them.
 func (x *NLRNL) Clone() *NLRNL {
 	return &NLRNL{
-		g:    x.g.Clone(),
-		comp: append([]int32(nil), x.comp...),
-		c:    append([]int32(nil), x.c...),
-		fwd:  append([][][]graph.Vertex(nil), x.fwd...),
-		rev:  append([][][]graph.Vertex(nil), x.rev...),
+		g:      x.g.Clone(),
+		comp:   append([]int32(nil), x.comp...),
+		c:      append([]int32(nil), x.c...),
+		fwd:    append([][][]graph.Vertex(nil), x.fwd...),
+		rev:    append([][][]graph.Vertex(nil), x.rev...),
+		marked: slices.Clone(x.marked),
 	}
 }
 

@@ -50,8 +50,8 @@ type Replica interface {
 	// (computed against pre-mutation distances). A duplicate insert or a
 	// missing delete returns (false, nil) and leaves the replica as-is.
 	Apply(op EdgeOp) (applied bool, affected []graph.Vertex)
-	// Finalize completes a batch. Index kinds maintained by rebuild
-	// rather than incrementally (NL) reconstruct themselves here.
+	// Finalize completes a batch: NLRNL rebuilds the vertices its ops
+	// marked, once for the whole batch, and NL rebuilds itself.
 	Finalize() error
 	// Freeze snapshots the replica's topology as an immutable CSR graph.
 	Freeze() *graph.Graph

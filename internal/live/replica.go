@@ -6,8 +6,8 @@ import (
 )
 
 // NLRNLReplica maintains an NLRNL index incrementally (§V-B): each op
-// rebuilds only the affected vertices' lists on the private clone, and
-// Finalize is a no-op.
+// changes the private clone's graph and marks the vertices it affects,
+// and Finalize rebuilds the union of the marked vertices once per batch.
 type NLRNLReplica struct {
 	X *index.NLRNL
 }
@@ -19,13 +19,14 @@ var _ Replica = (*NLRNLReplica)(nil)
 func NewNLRNLReplica(x *index.NLRNL) *NLRNLReplica { return &NLRNLReplica{X: x} }
 
 func (r *NLRNLReplica) Apply(op EdgeOp) (bool, []graph.Vertex) {
-	if op.Insert {
-		return r.X.InsertEdgeAffected(op.U, op.V)
-	}
-	return r.X.RemoveEdgeAffected(op.U, op.V)
+	return r.X.ApplyEdge(op.Insert, op.U, op.V)
 }
 
-func (r *NLRNLReplica) Finalize() error      { return nil }
+func (r *NLRNLReplica) Finalize() error {
+	r.X.Flush()
+	return nil
+}
+
 func (r *NLRNLReplica) Freeze() *graph.Graph { return r.X.FreezeGraph() }
 func (r *NLRNLReplica) Clone() Replica       { return &NLRNLReplica{X: r.X.Clone()} }
 
@@ -51,7 +52,7 @@ func NewNLReplica(g *graph.Mutable, nl *index.NL) *NLReplica {
 }
 
 func (r *NLReplica) Apply(op EdgeOp) (bool, []graph.Vertex) {
-	ok, affected := applyToGraph(r.G, op)
+	ok, affected := index.ApplyEdge(r.G, op.Insert, op.U, op.V)
 	r.dirty = r.dirty || ok
 	return ok, affected
 }
@@ -92,24 +93,8 @@ func NewGraphReplica(g *graph.Mutable) *GraphReplica {
 	return &GraphReplica{G: g}
 }
 
-func (r *GraphReplica) Apply(op EdgeOp) (bool, []graph.Vertex) { return applyToGraph(r.G, op) }
-
-// applyToGraph applies op to g and returns, when it changed the graph,
-// the vertices whose distance vectors it may change, judged before the
-// change with the same §V-B rule NLRNL uses. A duplicate insert, a
-// missing delete or a self-loop returns (false, nil).
-func applyToGraph(g *graph.Mutable, op EdgeOp) (bool, []graph.Vertex) {
-	n := g.NumVertices()
-	if op.U == op.V || int(op.U) >= n || int(op.V) >= n || g.HasEdge(op.U, op.V) == op.Insert {
-		return false, nil
-	}
-	affected := index.EdgeAffected(g, op.Insert, op.U, op.V)
-	if op.Insert {
-		g.AddEdge(op.U, op.V)
-	} else {
-		g.RemoveEdge(op.U, op.V)
-	}
-	return true, affected
+func (r *GraphReplica) Apply(op EdgeOp) (bool, []graph.Vertex) {
+	return index.ApplyEdge(r.G, op.Insert, op.U, op.V)
 }
 
 func (r *GraphReplica) Finalize() error      { return nil }

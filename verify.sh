@@ -33,18 +33,25 @@ fi
 # internal/server and the fleet restart soak in internal/shard.
 go test -race ./internal/obs ./internal/server ./internal/live ./internal/wal ./internal/shard
 go test -race ./...
+# Index builds and repairs split their kernel passes over GOMAXPROCS
+# workers; race-test the one-worker and the multi-worker runner.
+go test -race -cpu 1,2 ./internal/index ./internal/live
+# Each fuzz step caps the minimization of a new input at 100 runs. Go's
+# default budget is 60 s per input, and minimizing a KB-sized corpus
+# entry tries a quadratic number of byte cuts: FuzzMultiBFS spent most of
+# its 10 s with both workers minimizing and the exec count frozen.
 # Every index build and repair runs on the bit-parallel BFS kernel;
 # fuzz it against the single-source Traverser beyond its seed corpus.
-go test ./internal/graph -run '^$' -fuzz FuzzMultiBFS -fuzztime 10s
+go test ./internal/graph -run '^$' -fuzz FuzzMultiBFS -fuzztime 10s -fuzzminimizetime 100x
 # A durable dataset's restart reads its checkpoint with ReadBinary; fuzz
 # the reader: an accepted input must be the saved container, unchanged.
-go test ./internal/graph -run '^$' -fuzz FuzzReadBinary -fuzztime 10s
+go test ./internal/graph -run '^$' -fuzz FuzzReadBinary -fuzztime 10s -fuzzminimizetime 100x
 # Every search compiles its query from the keyword postings; fuzz the
 # compile against the per-vertex reference compile.
-go test ./internal/keywords -run '^$' -fuzz FuzzCompileQuery -fuzztime 10s
+go test ./internal/keywords -run '^$' -fuzz FuzzCompileQuery -fuzztime 10s -fuzzminimizetime 100x
 # Every exact search runs the bitset kernel; fuzz it against the
 # per-candidate reference loop over random instances and variants.
-go test ./internal/core -run '^$' -fuzz FuzzKernelMatchesReference -fuzztime 10s
+go test ./internal/core -run '^$' -fuzz FuzzKernelMatchesReference -fuzztime 10s -fuzzminimizetime 100x
 
 # The repository benchmark is a separate Go module over the public API
 # (perfbench/go.mod replaces ktg with ../). Vet and test it here so an
